@@ -2,7 +2,8 @@
 // concurrent simulated clients across a choice of workload mixes, with
 // client-side retry (exponential backoff + jitter), reconnect-on-failure,
 // and an optional seeded chaos transport and crash injection. It reports
-// throughput, latency percentiles, per-shard fairness stats, and a
+// throughput, latency percentiles, per-shard stats (live grant tables,
+// grants, and worst reader/writer bypass counted per queued waiter), and a
 // write-passage ledger: every server-side write grant must be either
 // client-observed (a unique fencing token) or lease-revoked. Duplicated
 // or lost passages are a hard failure (exit 1).
@@ -340,7 +341,7 @@ func run(cfg config, out io.Writer) (int, error) {
 		if sh.ReadGrants == 0 && sh.WriteGrants == 0 {
 			continue
 		}
-		fmt.Fprintf(out, "rwload:   shard %d: locks=%d read-grants=%d write-grants=%d sheds=%d timeouts=%d revoked=%d max-bypass=r%d/w%d\n",
+		fmt.Fprintf(out, "rwload:   shard %d: live-locks=%d read-grants=%d write-grants=%d sheds=%d timeouts=%d revoked=%d max-bypass=r%d/w%d\n",
 			i, sh.Locks, sh.ReadGrants, sh.WriteGrants, sh.Sheds, sh.Timeouts, sh.Revoked, sh.MaxReaderBypass, sh.MaxWriterBypass)
 	}
 	if lost > 0 {

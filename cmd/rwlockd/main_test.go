@@ -95,9 +95,17 @@ func TestDrainRefusesNewAcquires(t *testing.T) {
 	// The drain refuses new acquires while it waits for the holder.
 	var acqErr error
 	for i := 0; i < 50; i++ {
-		_, acqErr = c.TryAcquire(ctx, "late", lockd.ModeRead)
+		var late *lockd.Hold
+		late, acqErr = c.TryAcquire(ctx, "late", lockd.ModeRead)
 		if errors.Is(acqErr, lockd.ErrDraining) {
 			break
+		}
+		if acqErr == nil {
+			// Granted before the signal took effect: give it back, or the
+			// drain would wait out its timeout on this hold and exit 1.
+			if err := late.Release(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

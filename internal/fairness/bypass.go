@@ -21,9 +21,8 @@ import (
 // Concurrency contract: BypassMonitor is single-threaded. The simulator
 // delivers observer events from one goroutine, so Observe and the query
 // methods are deliberately unsynchronized — adding a lock here would tax
-// every simulated step. Callers with real concurrency (the rwlockd shard
-// grant tables, anything outside the single-stepped simulator) must use
-// LockedBypassMonitor instead.
+// every simulated step. A caller with real concurrency must serialize
+// every call itself.
 type BypassMonitor struct {
 	nReaders int
 	inEntry  []bool

@@ -3,10 +3,11 @@
 // (see DESIGN.md): a crash-stopped client is a session whose lease
 // expires, a fail-slow client is one whose heartbeats arrive late, and
 // recovery is reconnect-and-reacquire under a fresh session. Locks are
-// sharded namespaces of grant tables; per-key write-passage counters live
-// on the native memmodel backend so every write grant carries a fencing
-// token, and per-key fairness is measured live by
-// fairness.LockedBypassMonitor.
+// sharded namespaces of grant tables, kept only while a lock is held or
+// queued on; per-key write-passage counters live in a per-shard word
+// array so every write grant carries a fencing token, and every queued
+// waiter counts the grants that overtake it, so fairness is measured
+// live.
 package lockd
 
 import (
@@ -31,9 +32,9 @@ type Config struct {
 	Addr string
 	// Shards is the number of lock-namespace partitions (default 8).
 	Shards int
-	// KeysPerShard sizes each shard's native-backend passage-counter
-	// arena (default 512). Keys hash onto the arena; sharing a word
-	// preserves per-key token uniqueness.
+	// KeysPerShard sizes each shard's passage-counter array (default
+	// 512). Keys hash onto the array; sharing a word preserves per-key
+	// token uniqueness.
 	KeysPerShard int
 	// DefaultTTL is the session lease granted when hello does not request
 	// one; MinTTL/MaxTTL clamp requested TTLs (defaults 5s, 50ms, 60s).

@@ -37,7 +37,7 @@ type holdKey struct {
 // session.mu first, releases it, and then revokes through the shards.
 type session struct {
 	id   string
-	slot int // stable small index used by the shard fairness monitors
+	slot int // stable small index, persisted with the session
 
 	mu      sync.Mutex
 	ttl     time.Duration        // immutable after create/restore
@@ -244,7 +244,7 @@ func (t *sessionTable) lookup(id string) *session {
 // restore rebuilds the table from recovered durable state. Holds and
 // queued entries were already fenced by the epoch bump; what survives a
 // restart is the lease itself (with its persisted absolute expiry, so the
-// sweeper re-arms exactly where it left off), the fairness slot, and the
+// sweeper re-arms exactly where it left off), the slot, and the
 // at-most-once response cache.
 func (t *sessionTable) restore(st *durable.State) {
 	t.mu.Lock()

@@ -6,39 +6,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fairness"
 	"repro/internal/lockd/durable"
 	"repro/internal/lockd/wire"
-	"repro/internal/memmodel"
-	"repro/internal/native"
-	"repro/internal/trace"
 )
-
-// Fairness-monitor geometry: each named lock carries a LockedBypassMonitor
-// with monReaderSlots reader procs and monWriterSlots writer procs. A
-// session's stable slot maps onto that space modulo the slot count, so
-// with more than monReaderSlots concurrent sessions distinct sessions can
-// share a monitor proc — the bypass readings then blur together but never
-// under-report the worst wait.
-const (
-	monReaderSlots = 32
-	monWriterSlots = 32
-)
-
-// monProc maps a session slot and mode onto the monitor's proc numbering
-// (readers first, then writers).
-func monProc(mode string, slot int) int {
-	if mode == wire.ModeWrite {
-		return monReaderSlots + slot%monWriterSlots
-	}
-	return slot % monReaderSlots
-}
-
-// sectionEvent synthesizes the section-transition pseudo-event the monitor
-// consumes; the service has no simulator steps, only transitions.
-func sectionEvent(proc int, sec memmodel.Section) trace.Event {
-	return trace.Event{Proc: proc, Section: sec, SectionChange: true}
-}
 
 // waiter is one queued acquire.
 type waiter struct {
@@ -50,6 +20,9 @@ type waiter struct {
 	ch chan grantResult
 	// delivered flips once a result was sent.
 	delivered bool //rwguard:shard.mu
+	// bypass counts the grants made to other waiters of ls while this
+	// one stayed queued: its overtakes during this wait.
+	bypass int //rwguard:shard.mu
 }
 
 type grantResult struct {
@@ -57,21 +30,19 @@ type grantResult struct {
 	err     error
 }
 
-// lockState is one named lock's grant table.
+// lockState is one named lock's grant table. It lives only while the
+// lock is held or queued on (see reclaimLocked): nothing in it has to
+// outlive a passage.
 type lockState struct {
 	key string
-	// word is the lock's passage counter on the shard's native backend;
-	// write grants FetchAdd it, so every write passage carries a fencing
-	// token unique for the key (words are assigned by key hash and may be
-	// shared between keys, which preserves per-key uniqueness). wordIdx
-	// is the word's index in the shard arena, recorded in WAL grant
-	// records so replay can restore the counter.
-	word    memmodel.Var
+	// wordIdx is the key's passage counter in the shard's words (assigned
+	// by key hash; keys may share a word, which preserves per-key token
+	// uniqueness). It is recorded in WAL grant records so replay can
+	// restore the counter.
 	wordIdx int
 	readers map[*session]struct{} //rwguard:shard.mu
 	writer  *session              //rwguard:shard.mu
 	queue   []*waiter             //rwguard:shard.mu
-	mon     *fairness.LockedBypassMonitor
 }
 
 //rwguard:holds shard.mu
@@ -86,8 +57,8 @@ func (ls *lockState) holders() int {
 // shardCounters aggregates a shard's lifetime statistics (under shard.mu).
 // The ledger-relevant subset (grants, releases, revocations, fencing) is
 // restored from durable state on recovery, so it is cumulative over the
-// life of a data directory; sheds and timeouts are volatile and reset on
-// restart.
+// life of a data directory; sheds, timeouts and the bypass maxima are
+// volatile and reset on restart.
 type shardCounters struct {
 	readGrants   uint64
 	writeGrants  uint64
@@ -98,12 +69,15 @@ type shardCounters struct {
 	fencedWrite  uint64
 	sheds        uint64
 	timeouts     uint64
+	// maxReaderBypass/maxWriterBypass are the worst overtake counts of
+	// the waiters that already left a queue (see waiter.bypass).
+	maxReaderBypass int
+	maxWriterBypass int
 }
 
-// shard is one lock-namespace partition: a map of named grant tables
-// serialized by one mutex, with the passage counters living on a native
-// memmodel backend so write grants are stamped through the same Proc
-// interface the algorithm packages use.
+// shard is one lock-namespace partition: a map of the live named grant
+// tables plus the passage counters keys hash onto, all serialized by one
+// mutex.
 type shard struct {
 	srv *Server
 	idx int
@@ -111,20 +85,15 @@ type shard struct {
 	mu    sync.Mutex
 	locks map[string]*lockState //rwguard:mu
 	stats shardCounters         //rwguard:mu
-	proc  memmodel.Proc         //rwguard:mu single proc, serialized by the shard lock
-	words []memmodel.Var
+	words []uint64              //rwguard:mu
 }
 
 func newShard(srv *Server, idx, nWords int) *shard {
-	b := native.NewBackend()
-	words := b.AllocN(fmt.Sprintf("shard%d.passage", idx), nWords, 0)
-	b.Seal()
 	return &shard{
 		srv:   srv,
 		idx:   idx,
 		locks: map[string]*lockState{},
-		proc:  b.Proc(0),
-		words: words,
+		words: make([]uint64, nWords),
 	}
 }
 
@@ -134,11 +103,7 @@ func newShard(srv *Server, idx, nWords int) *shard {
 func (sh *shard) restore(ss *durable.ShardState) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for i, v := range ss.Words {
-		if i < len(sh.words) && v > 0 {
-			sh.proc.Write(sh.words[i], v)
-		}
-	}
+	copy(sh.words, ss.Words)
 	c := ss.Counters
 	sh.stats.readGrants = c.ReadGrants
 	sh.stats.writeGrants = c.WriteGrants
@@ -163,10 +128,8 @@ func (sh *shard) lockStateLocked(key string) *lockState {
 		wordIdx := int(h.Sum32()) % len(sh.words)
 		ls = &lockState{
 			key:     key,
-			word:    sh.words[wordIdx],
 			wordIdx: wordIdx,
 			readers: map[*session]struct{}{},
-			mon:     fairness.NewLockedBypassMonitor(monReaderSlots+monWriterSlots, monReaderSlots),
 		}
 		sh.locks[key] = ls
 	}
@@ -200,11 +163,12 @@ func (sh *shard) grantLocked(ls *lockState, sess *session, mode string) uint64 {
 	if mode == wire.ModeWrite {
 		ls.writer = sess
 		sh.stats.writeGrants++
-		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.proc.FetchAdd(ls.word, 1)+1)
+		sh.words[ls.wordIdx]++
+		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.words[ls.wordIdx])
 	} else {
 		ls.readers[sess] = struct{}{}
 		sh.stats.readGrants++
-		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.proc.Read(ls.word))
+		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.words[ls.wordIdx])
 	}
 	sh.logAppend(&durable.Record{Type: durable.RecGrant, Session: sess.id,
 		Key: ls.key, Mode: mode, Shard: sh.idx, Word: ls.wordIdx, Token: tok})
@@ -222,16 +186,16 @@ func (sh *shard) acquire(sess *session, key, mode string, wait time.Duration) (u
 	ls := sh.lockStateLocked(key)
 	if grantableLocked(ls, mode) {
 		if !sess.addHold(holdKey{key, mode}) {
+			// The only exit that can leave a table empty: every later one
+			// finds it held or queued on.
+			sh.reclaimLocked(ls)
 			sh.mu.Unlock()
 			if sess.isExpired() {
 				return 0, ErrSessionExpired
 			}
 			return 0, fmt.Errorf("%w: session already holds %q/%s", ErrBadRequest, key, mode)
 		}
-		proc := monProc(mode, sess.slot)
-		ls.mon.Observe(sectionEvent(proc, memmodel.SecEntry))
 		tok := sh.grantLocked(ls, sess, mode)
-		ls.mon.Observe(sectionEvent(proc, memmodel.SecCS))
 		sh.mu.Unlock()
 		return tok, nil
 	}
@@ -257,7 +221,6 @@ func (sh *shard) acquire(sess *session, key, mode string, wait time.Duration) (u
 	ls.queue = append(ls.queue, w)
 	sh.logAppend(&durable.Record{Type: durable.RecEnqueue, Session: sess.id,
 		Key: ls.key, Mode: mode, Shard: sh.idx})
-	ls.mon.Observe(sectionEvent(monProc(mode, sess.slot), memmodel.SecEntry))
 	sh.mu.Unlock()
 
 	timer := time.NewTimer(wait)
@@ -299,18 +262,40 @@ func (sh *shard) cancelWaiter(w *waiter, err error) bool {
 		}
 	}
 	w.sess.removeWaiter(w)
+	sh.foldBypassLocked(w)
 	sh.logAppend(&durable.Record{Type: durable.RecDequeue, Session: w.sess.id,
 		Key: w.ls.key, Mode: w.mode, Shard: sh.idx})
-	// Close the monitor's open entry wait: the waiter leaves without
-	// entering the CS.
-	w.ls.mon.Observe(sectionEvent(monProc(w.mode, w.sess.slot), memmodel.SecRemainder))
 	if err != nil {
 		w.ch <- grantResult{err: err}
 	}
 	// Removing a waiter can unblock the queue behind it (e.g. a timed-out
-	// head writer with readers holding).
+	// head writer with readers holding). The table needs no reclaim: a
+	// queue only forms behind a holder, and cancelling never removes one.
 	sh.promoteLocked(w.ls)
 	return true
+}
+
+// foldBypassLocked records a departing waiter's overtake count in the
+// shard's maxima.
+//
+//rwguard:holds mu
+func (sh *shard) foldBypassLocked(w *waiter) {
+	if w.mode == wire.ModeWrite {
+		sh.stats.maxWriterBypass = max(sh.stats.maxWriterBypass, w.bypass)
+	} else {
+		sh.stats.maxReaderBypass = max(sh.stats.maxReaderBypass, w.bypass)
+	}
+}
+
+// reclaimLocked drops ls from the shard once nobody holds or waits on it,
+// so an idle key costs no memory. Fencing is unaffected: a re-created
+// table hashes onto the same shard word, whose counter only rises.
+//
+//rwguard:holds mu
+func (sh *shard) reclaimLocked(ls *lockState) {
+	if ls.holders() == 0 && len(ls.queue) == 0 {
+		delete(sh.locks, ls.key)
+	}
 }
 
 // promoteLocked grants queued waiters in FIFO order as far as the lock
@@ -330,17 +315,20 @@ func (sh *shard) promoteLocked(ls *lockState) {
 		ls.queue = ls.queue[1:]
 		w.delivered = true
 		w.sess.removeWaiter(w)
+		sh.foldBypassLocked(w)
 		sh.logAppend(&durable.Record{Type: durable.RecDequeue, Session: w.sess.id,
 			Key: ls.key, Mode: w.mode, Shard: sh.idx})
 		if !w.sess.addHold(holdKey{ls.key, w.mode}) {
 			// The session expired (or double-holds) while queued: it can
 			// no longer receive the grant.
-			ls.mon.Observe(sectionEvent(monProc(w.mode, w.sess.slot), memmodel.SecRemainder))
 			w.ch <- grantResult{err: ErrRevoked}
 			continue
 		}
 		tok := sh.grantLocked(ls, w.sess, w.mode)
-		ls.mon.Observe(sectionEvent(monProc(w.mode, w.sess.slot), memmodel.SecCS))
+		// Every waiter still queued was just overtaken.
+		for _, qw := range ls.queue {
+			qw.bypass++
+		}
 		w.ch <- grantResult{passage: tok}
 	}
 }
@@ -369,6 +357,7 @@ func (sh *shard) release(sess *session, key, mode string) error {
 	sh.logAppend(&durable.Record{Type: durable.RecRelease, Session: sess.id,
 		Key: key, Mode: mode, Shard: sh.idx})
 	sh.promoteLocked(ls)
+	sh.reclaimLocked(ls)
 	return nil
 }
 
@@ -397,6 +386,7 @@ func (sh *shard) revokeHold(sess *session, key, mode string) {
 		sh.stats.revokedWrite++
 	}
 	sh.promoteLocked(ls)
+	sh.reclaimLocked(ls)
 }
 
 // cancelAllWaiters cancels every queued waiter with err (drain).
@@ -446,36 +436,35 @@ func (sh *shard) leakedHolds() []HoldInfo {
 	return out
 }
 
-// snapshotStats renders the shard's counters and fairness readings.
+// snapshotStats renders the shard's counters and fairness readings. The
+// bypass maxima cover every wait, completed or still open: the departed
+// waiters' maxima combined with the open waiters' running counts.
 func (sh *shard) snapshotStats() wire.ShardStats {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	st := wire.ShardStats{
-		Locks:        len(sh.locks),
-		ReadGrants:   sh.stats.readGrants,
-		WriteGrants:  sh.stats.writeGrants,
-		Releases:     sh.stats.releases,
-		Revoked:      sh.stats.revoked,
-		RevokedWrite: sh.stats.revokedWrite,
-		Fenced:       sh.stats.fenced,
-		FencedWrite:  sh.stats.fencedWrite,
-		Sheds:        sh.stats.sheds,
-		Timeouts:     sh.stats.timeouts,
+		Locks:           len(sh.locks),
+		ReadGrants:      sh.stats.readGrants,
+		WriteGrants:     sh.stats.writeGrants,
+		Releases:        sh.stats.releases,
+		Revoked:         sh.stats.revoked,
+		RevokedWrite:    sh.stats.revokedWrite,
+		Fenced:          sh.stats.fenced,
+		FencedWrite:     sh.stats.fencedWrite,
+		Sheds:           sh.stats.sheds,
+		Timeouts:        sh.stats.timeouts,
+		MaxReaderBypass: sh.stats.maxReaderBypass,
+		MaxWriterBypass: sh.stats.maxWriterBypass,
 	}
-	mons := make([]*fairness.LockedBypassMonitor, 0, len(sh.locks))
 	for _, ls := range sh.locks {
 		st.Held += ls.holders()
 		st.Queued += len(ls.queue)
-		mons = append(mons, ls.mon)
-	}
-	sh.mu.Unlock()
-	// The monitors are queried outside shard.mu — that concurrency safety
-	// is exactly what LockedBypassMonitor exists for.
-	for _, m := range mons {
-		if v := m.MaxReaderBypass(); v > st.MaxReaderBypass {
-			st.MaxReaderBypass = v
-		}
-		if v := m.MaxWriterBypass(); v > st.MaxWriterBypass {
-			st.MaxWriterBypass = v
+		for _, w := range ls.queue {
+			if w.mode == wire.ModeWrite {
+				st.MaxWriterBypass = max(st.MaxWriterBypass, w.bypass)
+			} else {
+				st.MaxReaderBypass = max(st.MaxReaderBypass, w.bypass)
+			}
 		}
 	}
 	return st

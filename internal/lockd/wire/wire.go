@@ -128,7 +128,7 @@ type Stats struct {
 
 // ShardStats aggregates one shard's counters and fairness readings.
 type ShardStats struct {
-	Locks  int `json:"locks"`  // named locks ever touched
+	Locks  int `json:"locks"`  // live grant tables (held or queued)
 	Held   int `json:"held"`   // holds currently outstanding
 	Queued int `json:"queued"` // waiters currently queued
 
@@ -146,9 +146,9 @@ type ShardStats struct {
 	Sheds        uint64 `json:"sheds"`
 	Timeouts     uint64 `json:"timeouts"`
 
-	// Bypass readings from the shard's fairness monitors: the worst
-	// single-wait overtake count any reader/writer suffered on any lock in
-	// this shard.
+	// Bypass readings: the most grants to other sessions that any single
+	// reader/writer wait on a lock in this shard sat through, counting
+	// completed and still-open waits.
 	MaxReaderBypass int `json:"max_reader_bypass"`
 	MaxWriterBypass int `json:"max_writer_bypass"`
 }
