@@ -1,13 +1,14 @@
 package repro
 
 // bench_test.go regenerates every experiment from DESIGN.md as a testing.B
-// target. The simulator experiments (E1-E6) are deterministic: the "bench"
-// aspect times one full table regeneration, and with -v each run prints the
-// table it produced (the same tables the cmd/ binaries print). E7 measures
-// native lock throughput with real goroutines.
+// target. The simulator tables come from the experiments registry and are
+// deterministic: the "bench" aspect times one full table regeneration, and
+// with -v each run prints the table it produced (the same table
+// cmd/rmrall prints). E7 measures native lock throughput with real
+// goroutines.
 //
 //	go test -bench=. -benchmem
-//	go test -bench=BenchmarkE2 -v          # print the lower-bound table
+//	go test -bench=Experiments/E2 -v       # print the lower-bound table
 
 import (
 	"sync"
@@ -17,143 +18,32 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/native"
-	"repro/internal/sim"
 )
 
-// trimShort drops the largest grid size under -short so the CI benchmark
-// smoke job (-bench=. -benchtime=1x -short) stays a compile-and-run check
+// BenchmarkExperiments regenerates every table of the experiments
+// registry, one sub-benchmark per entry (BenchmarkExperiments/E2, ...).
+// Under -short each entry runs its quick grid, so the CI benchmark smoke
+// job (-bench=. -benchtime=1x -short) stays a compile-and-run check
 // rather than a full table regeneration.
-func trimShort(sizes []int) []int {
-	if testing.Short() && len(sizes) > 1 {
-		return sizes[:len(sizes)-1]
-	}
-	return sizes
-}
-
-// report prints the regenerated table when -v is set.
-func report(b *testing.B, title, table string) {
-	b.Helper()
-	if testing.Verbose() {
-		b.Logf("%s\n%s", title, table)
-	}
-}
-
-// BenchmarkE1Tradeoff regenerates the Theorem-18 tradeoff grid (writer
-// Theta(f(n)) vs reader Theta(log(n/f(n)))).
-func BenchmarkE1Tradeoff(b *testing.B) {
-	ns := trimShort([]int{8, 32, 128, 512})
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E1Tradeoff(ns, sim.WriteThrough)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E1: A_f tradeoff (write-through)", table.String())
-		}
-	}
-}
-
-// BenchmarkE2LowerBound regenerates the Theorem-5 adversarial construction
-// table (iterations r vs log3(n/f(n)), Lemmas 1/2/4 checks).
-func BenchmarkE2LowerBound(b *testing.B) {
-	ns := trimShort([]int{9, 27, 81, 243})
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E2LowerBound(ns, sim.WriteThrough)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E2: Theorem-5 adversary", table.String())
-		}
-	}
-}
-
-// BenchmarkE3MaxBound regenerates the Corollary 6/7 tables: the
-// max(writer-entry, reader-exit) = Omega(log n) bound and the Omega(log m)
-// writers-only bound.
-func BenchmarkE3MaxBound(b *testing.B) {
-	ns := []int{8, 32, 128}
-	ms := []int{1, 4, 16, 64}
-	for i := 0; i < b.N; i++ {
-		_, nTable, err := experiments.E3MaxBound(ns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, mTable, err := experiments.E3WriterMutex(ms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E3a: Corollary 6", nTable.String())
-			report(b, "E3b: Corollary 7 (log m)", mTable.String())
-		}
-	}
-}
-
-// BenchmarkE4Baselines regenerates the cross-algorithm workload-mix
-// comparison.
-func BenchmarkE4Baselines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E4Baselines(16, 2, []int64{1, 2, 3}, sim.WriteThrough)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E4: algorithm comparison (n=16, m=2)", table.String())
-		}
-	}
-}
-
-// BenchmarkE5Protocols regenerates the write-through vs write-back
-// comparison.
-func BenchmarkE5Protocols(b *testing.B) {
-	ns := []int{8, 32, 128}
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E5Protocols(ns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E5: write-through vs write-back", table.String())
-		}
-	}
-}
-
-// BenchmarkE6Properties regenerates the property matrix.
-func BenchmarkE6Properties(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, table, err := experiments.E6Properties([]int64{1, 2, 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if !r.MutualExclusion || !r.Progress {
-				b.Fatalf("%s violated properties", r.Alg)
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				table, err := e.Run(testing.Short())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 && testing.Verbose() {
+					b.Logf("%s: %s\n%s", e.Name, e.Title, table)
+				}
 			}
-		}
-		if i == 0 {
-			report(b, "E6: property matrix", table.String())
-		}
-	}
-}
-
-// BenchmarkE8ModelContrast regenerates the CC vs DSM comparison.
-func BenchmarkE8ModelContrast(b *testing.B) {
-	ns := []int{8, 32, 128}
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E8ModelContrast(ns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E8: CC vs DSM", table.String())
-		}
+		})
 	}
 }
 
 // benchNativeLock measures native read-passage latency: b.N read passages
 // spread across reader goroutines with one background writer.
-func benchNativeLock(b *testing.B, alg string, f core.F, nReaders int) {
+func benchNativeLock(b *testing.B, f core.F, nReaders int) {
 	b.Helper()
 	lock, err := native.NewLock(core.New(f), nReaders, 1)
 	if err != nil {
@@ -193,17 +83,16 @@ func benchNativeLock(b *testing.B, alg string, f core.F, nReaders int) {
 	b.StopTimer()
 	stop.Store(true)
 	wg.Wait()
-	_ = alg
 }
 
 // BenchmarkE7NativeAF1 measures af-1 (cheapest writer, log-n readers).
-func BenchmarkE7NativeAF1(b *testing.B) { benchNativeLock(b, "af-1", core.FOne, 4) }
+func BenchmarkE7NativeAF1(b *testing.B) { benchNativeLock(b, core.FOne, 4) }
 
 // BenchmarkE7NativeAFLog measures af-log (balanced tradeoff point).
-func BenchmarkE7NativeAFLog(b *testing.B) { benchNativeLock(b, "af-log", core.FLog, 4) }
+func BenchmarkE7NativeAFLog(b *testing.B) { benchNativeLock(b, core.FLog, 4) }
 
 // BenchmarkE7NativeAFN measures af-n (constant-RMR readers).
-func BenchmarkE7NativeAFN(b *testing.B) { benchNativeLock(b, "af-n", core.FLinear, 4) }
+func BenchmarkE7NativeAFN(b *testing.B) { benchNativeLock(b, core.FLinear, 4) }
 
 // BenchmarkE7NativeSyncRWMutex is the stdlib reference point.
 func BenchmarkE7NativeSyncRWMutex(b *testing.B) {
@@ -239,63 +128,4 @@ func BenchmarkE7NativeSyncRWMutex(b *testing.B) {
 	b.StopTimer()
 	stop.Store(true)
 	wg.Wait()
-}
-
-// BenchmarkE9CounterAblation regenerates the f-array vs CAS-word counter
-// ablation (the tree is what caps contended reader cost).
-func BenchmarkE9CounterAblation(b *testing.B) {
-	ns := []int{4, 16, 64}
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E9CounterAblation(ns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E9: counter ablation", table.String())
-		}
-	}
-}
-
-// BenchmarkE10MutexSubstrates regenerates the WL substrate comparison
-// (tournament vs CLH vs ticket inside A_f).
-func BenchmarkE10MutexSubstrates(b *testing.B) {
-	ms := []int{1, 4, 16, 64}
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E10MutexSubstrates(ms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E10: WL substrates", table.String())
-		}
-	}
-}
-
-// BenchmarkE11AdversaryValue regenerates the adversary-vs-random
-// comparison (how much worst case random sampling misses).
-func BenchmarkE11AdversaryValue(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E11AdversaryValue([]int{27, 81}, []int64{1, 2, 3, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E11: adversary vs random", table.String())
-		}
-	}
-}
-
-// BenchmarkE12ShapeFits regenerates the least-squares shape-fit table
-// (Theorem 18's Theta claims as measured slopes).
-func BenchmarkE12ShapeFits(b *testing.B) {
-	ns := trimShort([]int{8, 32, 128, 512})
-	for i := 0; i < b.N; i++ {
-		_, table, err := experiments.E12ShapeFits(ns, sim.WriteThrough)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, "E12: shape fits", table.String())
-		}
-	}
 }

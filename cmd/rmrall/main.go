@@ -1,103 +1,85 @@
-// Command rmrall regenerates every simulator experiment table in one run —
-// the one-stop reproduction of EXPERIMENTS.md (native throughput, E7, has
-// its own binary: rwbench).
+// Command rmrall regenerates the simulator experiment tables of
+// EXPERIMENTS.md from the experiments registry. Native throughput (E7)
+// has its own binary, rwbench; the property gates (E6, E13-E15) are
+// rwverify's.
 //
 // Usage:
 //
-//	rmrall [-quick]
+//	rmrall [-e E2,E11] [-quick] [-parallel N]
+//
+// -e names the tables to print, in the order given (default: all, in
+// registry order). An unknown name exits 2 with the valid names listed.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/sim"
 )
 
 func main() {
+	names := flag.String("e", "", "comma-separated tables to print, in order (default all: "+strings.Join(allNames(), ",")+")")
 	quick := flag.Bool("quick", false, "smaller grids (faster)")
+	applyParallel := cliutil.ParallelFlag()
 	flag.Parse()
 	cliutil.NoArgs(flag.CommandLine)
-	if err := run(*quick); err != nil {
+	applyParallel()
+
+	entries, err := selectEntries(*names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rmrall:", err)
+		os.Exit(2)
+	}
+	if err := run(entries, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "rmrall:", err)
 		os.Exit(1)
 	}
 }
 
-func run(quick bool) error {
-	ns := []int{8, 32, 128, 512}
-	ns3 := []int{9, 27, 81, 243}
-	ms := []int{1, 4, 16, 64}
-	seeds := []int64{1, 2, 3}
-	if quick {
-		ns = []int{8, 32}
-		ns3 = []int{9, 27}
-		ms = []int{1, 16}
-		seeds = []int64{1}
+func allNames() []string {
+	var names []string
+	for _, e := range experiments.Registry() {
+		names = append(names, e.Name)
 	}
+	return names
+}
 
-	type section struct {
-		title string
-		gen   func() (fmt.Stringer, error)
+// selectEntries resolves a comma-separated -e list against the registry,
+// keeping the order given; an empty list selects every entry.
+func selectEntries(list string) ([]experiments.Entry, error) {
+	reg := experiments.Registry()
+	if strings.TrimSpace(list) == "" {
+		return reg, nil
 	}
-	sections := []section{
-		{"E1: A_f tradeoff (Theorem 18), write-through", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E1Tradeoff(ns, sim.WriteThrough)
-			return t, err
-		}},
-		{"E2: Theorem-5 adversarial construction", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E2LowerBound(ns3, sim.WriteThrough)
-			return t, err
-		}},
-		{"E3a: Corollary 6 (max side vs log2 n)", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E3MaxBound(ns[:len(ns)-1])
-			return t, err
-		}},
-		{"E3b: Corollary 7 (writer RMR vs log2 m)", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E3WriterMutex(ms)
-			return t, err
-		}},
-		{"E4: algorithm comparison across mixes", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E4Baselines(16, 2, seeds, sim.WriteThrough)
-			return t, err
-		}},
-		{"E5: write-through vs write-back", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E5Protocols(ns[:len(ns)-1])
-			return t, err
-		}},
-		{"E6: property matrix", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E6Properties(seeds)
-			return t, err
-		}},
-		{"E8: CC vs DSM", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E8ModelContrast(ns[:len(ns)-1])
-			return t, err
-		}},
-		{"E9: counter ablation", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E9CounterAblation(ms[:len(ms)-1])
-			return t, err
-		}},
-		{"E10: WL substrate ablation", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E10MutexSubstrates(ms)
-			return t, err
-		}},
-		{"E11: adversary vs random sampling", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E11AdversaryValue(ns3[:2], []int64{1, 2, 3, 4})
-			return t, err
-		}},
-		{"E12: Theorem-18 shape fits", func() (fmt.Stringer, error) {
-			_, t, err := experiments.E12ShapeFits(ns, sim.WriteThrough)
-			return t, err
-		}},
+	byName := make(map[string]experiments.Entry, len(reg))
+	for _, e := range reg {
+		byName[e.Name] = e
 	}
-	for _, s := range sections {
-		fmt.Println("=== " + s.title)
-		table, err := s.gen()
+	var out []experiments.Entry
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		e, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(allNames(), ","))
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+func run(entries []experiments.Entry, quick bool) error {
+	for _, e := range entries {
+		fmt.Printf("=== %s: %s\n", e.Name, e.Title)
+		table, err := e.Run(quick)
 		if err != nil {
-			return fmt.Errorf("%s: %w", s.title, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		fmt.Println(table)
 	}

@@ -14,7 +14,7 @@
 //   - internal/sim: the CC-model simulator (write-through and write-back)
 //   - internal/lowerbound: the Theorem-5 adversary
 //   - internal/native: real-atomics backend and lock handles
-//   - internal/experiments: the E1-E7 reproduction experiments
+//   - internal/experiments: the E1-E15 reproduction experiments and their registry
 //
 // The benchmarks in bench_test.go regenerate every experiment table:
 //

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/parwork"
-	"repro/internal/sim"
 )
 
 // ParallelFlag registers the shared -parallel flag. The returned apply
@@ -41,30 +40,6 @@ func NoArgs(fs *flag.FlagSet) {
 	Exit(2)
 }
 
-// ParseInts parses a comma-separated list of positive integers ("8,64,512").
-func ParseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q: %w", p, err)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("value %d must be positive", v)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list %q", s)
-	}
-	return out, nil
-}
-
 // ParseSeeds parses a comma-separated list of int64 seeds.
 func ParseSeeds(s string) ([]int64, error) {
 	parts := strings.Split(s, ",")
@@ -84,16 +59,4 @@ func ParseSeeds(s string) ([]int64, error) {
 		return nil, fmt.Errorf("empty seed list %q", s)
 	}
 	return out, nil
-}
-
-// ParseProtocol maps "wt"/"wb" (or long names) to a protocol.
-func ParseProtocol(s string) (sim.Protocol, error) {
-	switch strings.ToLower(s) {
-	case "wt", "write-through", "writethrough":
-		return sim.WriteThrough, nil
-	case "wb", "write-back", "writeback":
-		return sim.WriteBack, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q (want wt or wb)", s)
-	}
 }

@@ -10,26 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/parwork"
-	"repro/internal/sim"
 )
-
-func TestParseInts(t *testing.T) {
-	got, err := ParseInts("8, 64,512")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{8, 64, 512}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-	for _, bad := range []string{"", "a", "0", "-3", ","} {
-		if _, err := ParseInts(bad); err == nil {
-			t.Errorf("ParseInts(%q) accepted", bad)
-		}
-	}
-}
 
 func TestParseSeeds(t *testing.T) {
 	got, err := ParseSeeds("1,-2,3")
@@ -41,22 +22,6 @@ func TestParseSeeds(t *testing.T) {
 	}
 	if _, err := ParseSeeds(""); err == nil {
 		t.Error("empty seeds accepted")
-	}
-}
-
-func TestParseProtocol(t *testing.T) {
-	for _, s := range []string{"wt", "write-through", "WriteThrough"} {
-		if p, err := ParseProtocol(s); err != nil || p != sim.WriteThrough {
-			t.Errorf("ParseProtocol(%q) = %v, %v", s, p, err)
-		}
-	}
-	for _, s := range []string{"wb", "write-back"} {
-		if p, err := ParseProtocol(s); err != nil || p != sim.WriteBack {
-			t.Errorf("ParseProtocol(%q) = %v, %v", s, p, err)
-		}
-	}
-	if _, err := ParseProtocol("bogus"); err == nil {
-		t.Error("bogus protocol accepted")
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package experiments defines the reproduction experiments E1-E7 from
+// Package experiments defines the reproduction experiments from
 // DESIGN.md, one function per experiment. Each returns machine-readable
-// rows plus a rendered text table; the cmd/ binaries print the tables and
-// bench_test.go wraps the functions in testing.B targets so
-// `go test -bench=.` regenerates every artifact.
+// rows plus a rendered text table. Registry lists the simulator tables of
+// EXPERIMENTS.md with their published grids: cmd/rmrall prints them and
+// bench_test.go times them. cmd/rwverify gates on E6 and E13-E15.
 //
 // The paper (PODC 2016, theory) has no numbered tables or measurement
 // figures; the experiments reproduce its quantitative *claims*:
@@ -17,6 +17,14 @@
 //	E6  Property matrix: Mutual Exclusion, progress, reader overlap,
 //	    Bounded Exit across algorithms and schedules (Section 5).
 //	E7  Native throughput sanity (bench_test.go and cmd/rwbench).
+//	E8  CC vs DSM model contrast (Section 6).
+//	E9  Group-counter ablation: f-array vs CAS word vs cell array.
+//	E10 Writers' mutex (WL) substrate ablation.
+//	E11 Adversarial construction vs random schedule sampling.
+//	E12 Theorem 18's Theta claims as least-squares slopes.
+//	E13 Crash-stop robustness and abortable entry.
+//	E14 Crash-recovery sweep over the recoverable locks.
+//	E15 Fail-slow stall sweeps and starvation accounting.
 package experiments
 
 import (
