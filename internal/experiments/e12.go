@@ -29,9 +29,10 @@ type E12Row struct {
 	MaxRelErr float64
 }
 
-// E12ShapeFits runs the E1 grid and fits the asymptotic shapes.
-func E12ShapeFits(ns []int, protocol sim.Protocol) ([]E12Row, *tablefmt.Table, error) {
-	rows, _, err := E1Tradeoff(ns, protocol)
+// E12ShapeFits runs the E1 grid on the write-through protocol and fits the
+// asymptotic shapes.
+func E12ShapeFits(ns []int) ([]E12Row, *tablefmt.Table, error) {
+	rows, _, err := E1Tradeoff(ns, sim.WriteThrough)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -27,8 +27,9 @@ type E4Row struct {
 }
 
 // E4Baselines runs the cross-algorithm comparison: every algorithm, every
-// mix, a fixed population, averaged over seeds under random scheduling.
-func E4Baselines(n, m int, seeds []int64, protocol sim.Protocol) ([]E4Row, *tablefmt.Table, error) {
+// mix, a fixed population, averaged over seeds under random scheduling,
+// on the write-through protocol.
+func E4Baselines(n, m int, seeds []int64) ([]E4Row, *tablefmt.Table, error) {
 	// nil cost: every cell runs the same population over the same passage
 	// plan — the mixes axis does not change the row shape.
 	rows, err := gridRows(AllFactories(), workload.Mixes, nil, func(fac Factory, mix workload.Mix) (E4Row, error) {
@@ -38,7 +39,7 @@ func E4Baselines(n, m int, seeds []int64, protocol sim.Protocol) ([]E4Row, *tabl
 			rep := spec.Run(fac.New(), spec.Scenario{
 				NReaders: n, NWriters: m,
 				ReaderPassages: rp, WriterPassages: wp,
-				Protocol:  protocol,
+				Protocol:  sim.WriteThrough,
 				Scheduler: sched.NewRandom(seed),
 				MaxSteps:  50_000_000,
 				CSReads:   1,

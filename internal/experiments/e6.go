@@ -35,7 +35,7 @@ func E6Properties(seeds []int64) ([]E6Row, *tablefmt.Table, error) {
 	const n, m = 6, 2
 	exitBound := int(24*math.Log2(n+m)) + 32
 	facs := ExtendedFactories()
-	rows := parwork.Do(0, len(facs), func(fi int) E6Row {
+	rows := parwork.Do(0, len(facs), nil, func(fi int) E6Row {
 		fac := facs[fi]
 		row := E6Row{
 			Alg:             fac.Name,

@@ -58,7 +58,7 @@ func gridRows[A, B, R any](outer []A, inner []B, cost func(a A, b B) int64, job 
 	if cost != nil {
 		hint = func(i int) int64 { return cost(outer[i/len(inner)], inner[i%len(inner)]) }
 	}
-	return parwork.DoErrCost(0, len(outer)*len(inner), hint, func(i int) (R, error) {
+	return parwork.DoErr(0, len(outer)*len(inner), hint, func(i int) (R, error) {
 		return job(outer[i/len(inner)], inner[i%len(inner)])
 	})
 }

@@ -145,7 +145,7 @@ func TestE3Tables(t *testing.T) {
 }
 
 func TestE4BaselinesComparison(t *testing.T) {
-	rows, table, err := E4Baselines(8, 2, []int64{1, 2}, sim.WriteThrough)
+	rows, table, err := E4Baselines(8, 2, []int64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestE11AdversaryValue(t *testing.T) {
 }
 
 func TestE12ShapeFits(t *testing.T) {
-	rows, table, err := E12ShapeFits([]int{8, 32, 128, 512}, sim.WriteThrough)
+	rows, table, err := E12ShapeFits([]int{8, 32, 128, 512})
 	if err != nil {
 		t.Fatal(err)
 	}

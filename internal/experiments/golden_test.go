@@ -80,7 +80,7 @@ func TestGoldenE10(t *testing.T) {
 }
 
 func TestGoldenE12(t *testing.T) {
-	_, table, err := E12ShapeFits([]int{8, 32, 128}, sim.WriteThrough)
+	_, table, err := E12ShapeFits([]int{8, 32, 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func Registry() []Entry {
 			}},
 		{"E4", "algorithm comparison, n=16 m=2, write-through, random schedules",
 			func(quick bool) (fmt.Stringer, error) {
-				return table(E4Baselines(16, 2, grid(quick, []int64{1, 2, 3}, []int64{1}), sim.WriteThrough))
+				return table(E4Baselines(16, 2, grid(quick, []int64{1, 2, 3}, []int64{1})))
 			}},
 		{"E5", "A_f tradeoff under write-through vs write-back (max per-passage RMRs)",
 			func(quick bool) (fmt.Stringer, error) {
@@ -81,7 +81,7 @@ func Registry() []Entry {
 			}},
 		{"E12", "Theorem-18 shapes as least-squares fits over the E1 grid",
 			func(quick bool) (fmt.Stringer, error) {
-				return table(E12ShapeFits(grid(quick, []int{8, 16, 32, 64, 128, 256, 512}, []int{8, 32}), sim.WriteThrough))
+				return table(E12ShapeFits(grid(quick, []int{8, 16, 32, 64, 128, 256, 512}, []int{8, 32})))
 			}},
 	}
 }

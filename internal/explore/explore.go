@@ -190,14 +190,14 @@ func Algorithm(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config) (
 	return res, nil
 }
 
-// exploreSubtrees fans the root subtrees out across the worker pool. With
-// no robust options in play (spec.EffectiveRobust over the scenario) it is
-// a plain parwork.Do; with options active the subtrees run through the
-// checkpointed path, so an interrupted exploration resumes its unfinished
-// subtrees instead of restarting. KeepGoing is never honored here: the
-// canonical merge needs every subtree's real result, so row-failure
-// isolation would only corrupt the budget accounting. Result round-trips
-// through the checkpoint verbatim (ints, bool, string, []int).
+// exploreSubtrees fans the root subtrees out across the worker pool
+// (parwork.DoRobust). The scenario's robust options (spec.EffectiveRobust)
+// apply as in the spec sweeps, so an interrupted exploration resumes its
+// unfinished subtrees instead of restarting; with none in play DoRobust
+// is a plain fan-out. KeepGoing is never honored here: the canonical
+// merge needs every subtree's real result, so row-failure isolation would
+// only corrupt the budget accounting. Result round-trips through the
+// checkpoint verbatim (ints, bool, string, []int).
 //
 // No cost hint: a subtree's size is the very thing exploration discovers
 // (a root choice may prune immediately or dominate the whole search), so
@@ -205,32 +205,27 @@ func Algorithm(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config) (
 // story here — a worker that drains its cheap subtrees steals from the
 // worker stuck under the heavy one.
 func exploreSubtrees(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config, workers, roots int) ([]*Result, error) {
-	ro := spec.EffectiveRobust(sc)
-	job := func(k int) *Result { return exploreSubtree(newAlg, sc, k, cfg.MaxRuns) }
-	if ro == nil || (ro.Store == nil && ro.RowTimeout <= 0 && ro.Stop == nil && ro.AfterRow == nil) {
-		return parwork.Do(workers, roots, job), nil
-	}
 	opt := parwork.Options{
-		Workers:    workers,
-		RowTimeout: ro.RowTimeout,
-		Stop:       ro.Stop,
-		AfterRow:   ro.AfterRow,
-		RowInfo:    func(k int) string { return fmt.Sprintf("root subtree %d", k) },
+		Workers: workers,
+		RowInfo: func(k int) string { return fmt.Sprintf("root subtree %d", k) },
 	}
-	if ro.Store != nil {
-		algName := newAlg().Name()
-		fp := checkpoint.Fingerprint("explore", algName, sc.String(),
-			fmt.Sprintf("csreads=%d maxsteps=%d maxruns=%d roots=%d",
-				sc.CSReads, sc.MaxSteps, cfg.MaxRuns, roots))
-		sec, err := ro.Store.Section("explore/"+algName, fp, roots)
-		if err != nil {
-			return nil, err
+	if ro := spec.EffectiveRobust(sc); ro != nil {
+		opt.RowTimeout, opt.Stop, opt.AfterRow = ro.RowTimeout, ro.Stop, ro.AfterRow
+		if ro.Store != nil {
+			algName := newAlg().Name()
+			fp := checkpoint.Fingerprint("explore", algName, sc.String(),
+				fmt.Sprintf("csreads=%d maxsteps=%d maxruns=%d roots=%d",
+					sc.CSReads, sc.MaxSteps, cfg.MaxRuns, roots))
+			sec, err := ro.Store.Section("explore/"+algName, fp, roots)
+			if err != nil {
+				return nil, err
+			}
+			opt.Sink = sec
 		}
-		opt.Sink = sec
 	}
-	outs, _, err := parwork.DoRobust(opt, roots, parwork.JSONCodec[*Result](),
+	outs, err := parwork.DoRobust(opt, roots, parwork.JSONCodec[*Result](),
 		func() struct{} { return struct{}{} }, func(struct{}) {},
-		func(_ struct{}, k int) *Result { return job(k) }, nil)
+		func(_ struct{}, k int) *Result { return exploreSubtree(newAlg, sc, k, cfg.MaxRuns) }, nil)
 	return outs, err
 }
 

@@ -8,6 +8,10 @@
 // output: job i writes exactly result slot i, no matter which worker runs
 // it or when it finishes.
 //
+// DoRobust (robust.go) is the one worker pool; Do and DoErr are thin calls
+// into it. Each field of Options turns on one robustness behavior, and a
+// zero Options is a plain fan-out.
+//
 // Scheduling is cost-aware and work-stealing (see steal.go): callers may
 // pass a CostHint describing each row's known shape, which seeds rows
 // largest-first across per-worker deques and sizes claim chunks so cheap
@@ -30,7 +34,6 @@ package parwork
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -68,30 +71,16 @@ func Workers(n int) int {
 
 // Do runs job(i) for every i in [0, n) across at most workers concurrent
 // goroutines (Workers-normalized) and returns the results in index order.
-// With one worker the jobs run serially, in order, on the calling
-// goroutine; the output is identical either way for pure jobs. A panic in
-// any job is re-raised on the calling goroutine after all workers stop.
-func Do[T any](workers, n int, job func(i int) T) []T {
-	return DoCost(workers, n, nil, job)
-}
-
-// DoCost is Do with a CostHint: rows are seeded largest-first across the
-// worker deques and claimed in cost-sized chunks (see CostHint). The
-// results are identical to Do's; only the schedule differs.
-func DoCost[T any](workers, n int, cost CostHint, job func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	run(workers, n, cost, func(next func() (int, bool)) {
-		for {
-			i, ok := next()
-			if !ok {
-				return
-			}
-			out[i] = job(i)
-		}
-	})
+// cost is the scheduling hint for row i (see CostHint; nil means uniform
+// rows); it changes the schedule, never the results. With one worker the
+// jobs run serially, in order, on the calling goroutine; the output is
+// identical either way for pure jobs. A panic in any job stops the pool
+// from claiming further rows and is re-raised on the calling goroutine
+// after the workers drain. Do is DoRobust with zero Options.
+func Do[T any](workers, n int, cost CostHint, job func(i int) T) []T {
+	out, _ := DoRobust(Options{Workers: workers, Cost: cost}, n, Codec[T]{},
+		func() struct{} { return struct{}{} }, func(struct{}) {},
+		func(_ struct{}, i int) T { return job(i) }, nil)
 	return out
 }
 
@@ -100,110 +89,19 @@ func DoCost[T any](workers, n int, cost CostHint, job func(i int) T) []T {
 // the LOWEST failing index is returned — the same error a serial loop that
 // stops at the first failure would report. On error the results are
 // discarded and nil is returned.
-func DoErr[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
-	return DoErrCost(workers, n, nil, job)
-}
-
-// DoErrCost is DoErr with a CostHint (see DoCost).
-func DoErrCost[T any](workers, n int, cost CostHint, job func(i int) (T, error)) ([]T, error) {
-	type slot struct {
-		v   T
-		err error
-	}
-	slots := DoCost(workers, n, cost, func(i int) slot {
+func DoErr[T any](workers, n int, cost CostHint, job func(i int) (T, error)) ([]T, error) {
+	errs := make([]error, n)
+	out := Do(workers, n, cost, func(i int) T {
 		v, err := job(i)
-		return slot{v, err}
+		errs[i] = err
+		return v
 	})
-	out := make([]T, n)
-	for i := range slots {
-		if slots[i].err != nil {
-			return nil, slots[i].err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out[i] = slots[i].v
 	}
 	return out, nil
-}
-
-// DoScoped is Do with per-worker scoped state: each worker calls enter
-// once before its first job and exit once after its last, letting jobs
-// reuse an expensive resource (typically a sim.Runner reset between
-// executions) without any cross-worker sharing. The serial path (one
-// worker) uses the same enter/job/exit sequence, so resource reuse is
-// exercised identically at every worker count.
-func DoScoped[S, T any](workers, n int, enter func() S, exit func(S), job func(s S, i int) T) []T {
-	return DoScopedCost(workers, n, nil, enter, exit, job)
-}
-
-// DoScopedCost is DoScoped with a CostHint (see DoCost).
-func DoScopedCost[S, T any](workers, n int, cost CostHint, enter func() S, exit func(S), job func(s S, i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	run(workers, n, cost, func(next func() (int, bool)) {
-		s := enter()
-		defer exit(s)
-		for {
-			i, ok := next()
-			if !ok {
-				return
-			}
-			out[i] = job(s, i)
-		}
-	})
-	return out
-}
-
-// run executes the worker-loop body on a bounded pool of Workers(workers)
-// goroutines (capped at n), one body invocation per worker. body draws job
-// indices from its worker's claim function until it is exhausted; with one
-// worker it runs on the calling goroutine with a plain sequential claim.
-//
-// A panic in any worker poisons the claim functions: the surviving workers
-// finish only the job they are on and then drain, rather than claiming and
-// running every outstanding index before the panic re-raises (fail-fast —
-// per-row isolation is DoRobust's KeepGoing mode). Jobs that merely return
-// errors (DoErr) do not poison anything: every job still runs, as DoErr's
-// lowest-index-error contract requires.
-func run(workers, n int, cost CostHint, body func(next func() (int, bool))) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	s := newScheduler(n, w, cost)
-	var poisoned atomic.Bool
-	guarded := func(k int) func() (int, bool) {
-		next := s.claimer(k)
-		return func() (int, bool) {
-			if poisoned.Load() {
-				return 0, false
-			}
-			return next()
-		}
-	}
-	if w <= 1 {
-		body(guarded(0))
-		return
-	}
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[panicValue]
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(k int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					poisoned.Store(true)
-					panicked.CompareAndSwap(nil, &panicValue{v})
-				}
-			}()
-			body(guarded(k))
-		}(k)
-	}
-	wg.Wait()
-	if pv := panicked.Load(); pv != nil {
-		panic(pv.v)
-	}
 }
 
 // panicValue boxes a recovered panic so a nil-interface payload still

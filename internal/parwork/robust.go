@@ -1,22 +1,22 @@
 package parwork
 
-// This file is the robust execution mode of the sweep engine: DoRobust is
-// DoScoped plus the three behaviors long sweeps need to survive the real
-// world — durable progress (a Sink checkpoints each completed slot, and a
-// resumed run restores those slots instead of recomputing them), cooperative
+// This file is the sweep engine's worker pool. DoRobust runs every fan-out
+// — Do and DoErr are DoRobust with zero Options — and adds, per Options
+// field, the behaviors long sweeps need to survive the real world: durable
+// progress (a Sink checkpoints each completed slot, and a resumed run
+// restores those slots instead of recomputing them), cooperative
 // cancellation (a Stopper makes workers stop claiming new rows and drain,
 // leaving a flushed checkpoint behind), and per-row failure isolation
-// (KeepGoing turns a panicking or wedged row into a typed RowFailure in the
-// report instead of aborting the sweep). The canonical index-slot merge is
-// unchanged: row i fills slot i whether it was computed now, computed by a
-// previous run and restored, or replaced by onFailure — so a resumed sweep
-// is byte-identical to an uninterrupted one.
+// (KeepGoing turns a panicking or wedged row into a typed RowFailure in its
+// result slot instead of aborting the sweep). The canonical index-slot
+// merge holds throughout: row i fills slot i whether it was computed now,
+// computed by a previous run and restored, or replaced by onFailure — so a
+// resumed sweep is byte-identical to an uninterrupted one.
 
 import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +74,8 @@ func (s *Stopper) Stop() { s.stopped.Store(true) }
 func (s *Stopper) Stopped() bool { return s != nil && s.stopped.Load() }
 
 // RowFailure describes one row that did not produce a result: its job
-// panicked, or exceeded the row deadline. It is the per-row error type the
-// KeepGoing report lists and the fail-fast row-timeout path returns.
+// panicked, or exceeded the row deadline. It is the per-row error type
+// KeepGoing hands to onFailure and the fail-fast row-timeout path returns.
 type RowFailure struct {
 	// Index is the row's slot in the sweep.
 	Index int
@@ -126,13 +126,13 @@ func (e *InterruptedError) Error() string {
 }
 
 // Options configures DoRobust. The zero value (plus a worker count) is
-// plain DoScoped behavior: no sink, no cancellation, fail-fast, no row
-// deadline.
+// plain fan-out: no sink, no cancellation, fail-fast, no row deadline.
 type Options struct {
 	// Workers is the pool size, Workers-normalized.
 	Workers int
 	// KeepGoing isolates row failures: a panicking or timed-out row
-	// becomes a RowFailure in the Report and the sweep continues.
+	// becomes a RowFailure, handed to onFailure for its result slot, and
+	// the sweep continues.
 	// Default (false) is fail-fast: a panic re-raises on the caller
 	// after the pool drains and a final flush, a timeout returns the
 	// *RowFailure as the error.
@@ -145,11 +145,9 @@ type Options struct {
 	// Stop, when non-nil, is polled before each claim.
 	Stop *Stopper
 	// Sink, when non-nil, restores previously completed rows before the
-	// sweep starts and records each newly completed row.
+	// sweep starts and records each newly completed row, flushing every
+	// flushEvery rows and once at the end.
 	Sink Sink
-	// FlushEvery is how many newly completed rows may accumulate between
-	// periodic Sink flushes; <= 0 means 64. A final flush always happens.
-	FlushEvery int
 	// Cost, when non-nil, is the scheduling hint for row i (see
 	// CostHint): pending rows are seeded largest-first across the worker
 	// deques and claimed in cost-sized chunks. Restored rows never rerun,
@@ -165,33 +163,22 @@ type Options struct {
 	AfterRow func(done int)
 }
 
-// Report describes what a DoRobust call actually did.
-type Report struct {
-	// Total is the sweep size.
-	Total int
-	// Restored is the number of rows taken from the Sink.
-	Restored int
-	// Computed is the number of rows executed in this run, including
-	// KeepGoing failures.
-	Computed int
-	// Failures lists KeepGoing row failures in index order.
-	Failures []*RowFailure
-	// Interrupted marks a run stopped before all rows were attempted.
-	Interrupted bool
-}
-
-// Done is the number of rows with durable results.
-func (r *Report) Done() int { return r.Restored + r.Computed - len(r.Failures) }
-
-// DoRobust is DoScoped with restore/record, cancellation, per-row failure
-// isolation and a per-row deadline, per opt. Row i's result lands in slot i
-// of the returned slice regardless of which run computed it; for pure jobs
-// and faithful codecs the output is byte-identical across worker counts and
-// across interrupt/resume splits.
+// DoRobust runs job(s, i) for every row i in [0, n) on a pool of
+// Workers(opt.Workers) goroutines (capped at the pending row count; one
+// worker runs on the calling goroutine). Each worker calls enter once
+// before its first row and exit once after its last, so its rows can
+// reuse an expensive resource (typically a sim.Runner reset between
+// executions) without any cross-worker sharing. On top of that, opt
+// selects restore/record, cancellation, per-row failure isolation and a
+// per-row deadline. Row i's result lands in slot i of the returned slice
+// regardless of which run computed it; for pure jobs and faithful codecs
+// the output is byte-identical across worker counts and across
+// interrupt/resume splits. codec is used only with a Sink.
 //
 // onFailure supplies the slot value for a KeepGoing row failure (so the
 // caller can embed the RowFailure in its outcome type); it may be nil only
-// when KeepGoing is false.
+// when KeepGoing is false. Failed rows are never recorded to the Sink, so
+// a resumed run retries them.
 //
 // On interruption the error is *InterruptedError and the slice holds the
 // partial results. On a fail-fast timeout the error is the *RowFailure. A
@@ -206,10 +193,9 @@ func DoRobust[S, T any](
 	exit func(S),
 	job func(s S, i int) T,
 	onFailure func(i int, f *RowFailure) T,
-) ([]T, *Report, error) {
-	rep := &Report{Total: n}
+) ([]T, error) {
 	if n <= 0 {
-		return nil, rep, nil
+		return nil, nil
 	}
 	out := make([]T, n)
 
@@ -217,27 +203,22 @@ func DoRobust[S, T any](
 	// as the pending work list (in index order — claims preserve it).
 	pending := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		if opt.Sink == nil {
-			pending = append(pending, i)
-			continue
+		var payload []byte
+		ok := false
+		if opt.Sink != nil {
+			payload, ok = opt.Sink.Restore(i)
 		}
-		payload, ok := opt.Sink.Restore(i)
 		if !ok {
 			pending = append(pending, i)
 			continue
 		}
 		v, err := codec.Decode(payload)
 		if err != nil {
-			return nil, rep, fmt.Errorf("parwork: restore row %d: %w", i, err)
+			return nil, fmt.Errorf("parwork: restore row %d: %w", i, err)
 		}
 		out[i] = v
-		rep.Restored++
 	}
-
-	flushEvery := opt.FlushEvery
-	if flushEvery <= 0 {
-		flushEvery = 64
-	}
+	restored := n - len(pending)
 
 	var (
 		computed   atomic.Int64 // rows executed this run (incl. failures)
@@ -246,9 +227,6 @@ func DoRobust[S, T any](
 		poisoned   atomic.Bool  // stop claiming: fatal error or panic
 		fatalPanic atomic.Pointer[panicValue]
 		fatalErr   atomic.Pointer[errBox]
-
-		failMu   sync.Mutex
-		failures []*RowFailure
 	)
 	setFatal := func(err error) {
 		fatalErr.CompareAndSwap(nil, &errBox{err})
@@ -364,9 +342,9 @@ func DoRobust[S, T any](
 		return nil
 	}
 
-	// The pending rows run on the cost-aware work-stealing scheduler,
-	// exactly like the non-robust fan-outs: the caller's hint is composed
-	// over the pending list (a resumed run schedules only what is left).
+	// The pending rows run on the cost-aware work-stealing scheduler: the
+	// caller's hint is composed over the pending list (a resumed run
+	// schedules only what is left).
 	w := Workers(opt.Workers)
 	if w > len(pending) {
 		w = len(pending)
@@ -378,6 +356,14 @@ func DoRobust[S, T any](
 	schd := newScheduler(len(pending), w, pendingCost)
 
 	work := func(worker int) {
+		defer func() {
+			// enter/exit are harness code and should not panic; if one
+			// does, surface it like a fail-fast row panic.
+			if v := recover(); v != nil {
+				fatalPanic.CompareAndSwap(nil, &panicValue{v})
+				poisoned.Store(true)
+			}
+		}()
 		next := schd.claimer(worker)
 		scope := enter()
 		defer func() { exit(scope) }()
@@ -394,9 +380,6 @@ func DoRobust[S, T any](
 			if f == nil {
 				continue
 			}
-			failMu.Lock()
-			failures = append(failures, f)
-			failMu.Unlock()
 			if opt.KeepGoing {
 				if onFailure != nil {
 					out[i] = onFailure(i, f)
@@ -415,33 +398,20 @@ func DoRobust[S, T any](
 			return
 		}
 	}
-	runWorker := func(worker int) {
-		defer func() {
-			// enter/exit are harness code and should not panic; if one
-			// does, surface it like a fail-fast row panic.
-			if v := recover(); v != nil {
-				fatalPanic.CompareAndSwap(nil, &panicValue{v})
-				poisoned.Store(true)
-			}
-		}()
-		work(worker)
+	// Worker 0 runs on the calling goroutine, so a one-worker pool is a
+	// plain serial loop.
+	var wg sync.WaitGroup
+	for k := 1; k < w; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			work(k)
+		}(k)
 	}
-
-	if w <= 1 {
-		if len(pending) > 0 {
-			runWorker(0)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for k := 0; k < w; k++ {
-			go func(k int) {
-				defer wg.Done()
-				runWorker(k)
-			}(k)
-		}
-		wg.Wait()
+	if w > 0 {
+		work(0)
 	}
+	wg.Wait()
 
 	// Final flush, even on the way out of a fatal failure: completed rows
 	// are durable no matter how the sweep ends.
@@ -450,25 +420,24 @@ func DoRobust[S, T any](
 		flushErr = opt.Sink.Flush()
 	}
 
-	sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
-	rep.Computed = int(computed.Load())
-	rep.Failures = failures
-
 	if pv := fatalPanic.Load(); pv != nil {
 		panic(pv.v)
 	}
 	if eb := fatalErr.Load(); eb != nil {
-		return nil, rep, eb.err
+		return nil, eb.err
 	}
 	if flushErr != nil {
-		return nil, rep, fmt.Errorf("parwork: final flush: %w", flushErr)
+		return nil, fmt.Errorf("parwork: final flush: %w", flushErr)
 	}
-	if opt.Stop.Stopped() && rep.Restored+rep.Computed < n {
-		rep.Interrupted = true
-		return out, rep, &InterruptedError{Done: rep.Done(), Total: n}
+	if opt.Stop.Stopped() && restored+int(computed.Load()) < n {
+		return out, &InterruptedError{Done: restored + int(succeeded.Load()), Total: n}
 	}
-	return out, rep, nil
+	return out, nil
 }
+
+// flushEvery is how many newly completed rows may accumulate between
+// periodic Sink flushes.
+const flushEvery = 64
 
 // errBox boxes an error for atomic first-wins publication.
 type errBox struct{ err error }

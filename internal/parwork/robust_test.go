@@ -53,7 +53,9 @@ func square(_ struct{}, i int) int { return i * i }
 
 func TestDoRobustPlain(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		out, rep, err := DoRobust(Options{Workers: workers}, 10, JSONCodec[int](), noScope, noExit, square, nil)
+		var computed atomic.Int64
+		out, err := DoRobust(Options{Workers: workers, AfterRow: func(int) { computed.Add(1) }},
+			10, JSONCodec[int](), noScope, noExit, square, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,8 +64,39 @@ func TestDoRobustPlain(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
 		}
-		if rep.Computed != 10 || rep.Restored != 0 || rep.Done() != 10 {
-			t.Fatalf("workers=%d: report %+v", workers, rep)
+		if computed.Load() != 10 {
+			t.Fatalf("workers=%d: %d rows reported computed, want 10", workers, computed.Load())
+		}
+	}
+}
+
+// TestDoRobustReusesStatePerWorker: each worker enters one scope before
+// its first row and exits it after its last, and every row of that
+// worker sees the same scope — at one worker as at several.
+func TestDoRobustReusesStatePerWorker(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var entered, exited, rows atomic.Int64
+		got, err := DoRobust(Options{Workers: workers}, 12, Codec[int]{},
+			func() *int { entered.Add(1); s := 0; return &s },
+			func(s *int) { exited.Add(1); rows.Add(int64(*s)) },
+			func(s *int, i int) int { *s++; return i },
+			nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: got[%d]=%d", workers, i, v)
+			}
+		}
+		if entered.Load() != exited.Load() {
+			t.Fatalf("workers=%d: enter/exit mismatch: %d vs %d", workers, entered.Load(), exited.Load())
+		}
+		if max := int64(workers); entered.Load() > max {
+			t.Fatalf("workers=%d: %d scopes entered, want <= %d", workers, entered.Load(), max)
+		}
+		if rows.Load() != 12 {
+			t.Fatalf("workers=%d: scopes saw %d rows, want all 12", workers, rows.Load())
 		}
 	}
 }
@@ -76,16 +109,13 @@ func TestDoRobustRestoreSkipsCompletedRows(t *testing.T) {
 		}
 	}
 	var ran atomic.Int64
-	out, rep, err := DoRobust(Options{Workers: 4, Sink: sink}, 10, JSONCodec[int](), noScope, noExit,
+	out, err := DoRobust(Options{Workers: 4, Sink: sink}, 10, JSONCodec[int](), noScope, noExit,
 		func(_ struct{}, i int) int {
 			ran.Add(1)
 			return i * i
 		}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rep.Restored != 3 || rep.Computed != 7 {
-		t.Fatalf("report %+v, want 3 restored / 7 computed", rep)
 	}
 	if ran.Load() != 7 {
 		t.Fatalf("job ran %d times, want 7", ran.Load())
@@ -105,7 +135,7 @@ func TestDoRobustRestoreCorruptPayload(t *testing.T) {
 	if err := sink.Record(2, []byte("not an int")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := DoRobust(Options{Workers: 2, Sink: sink}, 5, JSONCodec[int](), noScope, noExit, square, nil)
+	_, err := DoRobust(Options{Workers: 2, Sink: sink}, 5, JSONCodec[int](), noScope, noExit, square, nil)
 	if err == nil || !strings.Contains(err.Error(), "restore row 2") {
 		t.Fatalf("err = %v, want restore failure for row 2", err)
 	}
@@ -115,9 +145,13 @@ func TestDoRobustKeepGoingPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			sink := newMemSink()
-			out, rep, err := DoRobust(
+			var computed atomic.Int64
+			var failures []*RowFailure
+			var failMu sync.Mutex
+			out, err := DoRobust(
 				Options{Workers: workers, KeepGoing: true, Sink: sink,
-					RowInfo: func(i int) string { return fmt.Sprintf("point %d", i) }},
+					RowInfo:  func(i int) string { return fmt.Sprintf("point %d", i) },
+					AfterRow: func(int) { computed.Add(1) }},
 				10, JSONCodec[int](), noScope, noExit,
 				func(_ struct{}, i int) int {
 					if i == 4 {
@@ -125,15 +159,20 @@ func TestDoRobustKeepGoingPanic(t *testing.T) {
 					}
 					return i * i
 				},
-				func(i int, f *RowFailure) int { return -1 },
+				func(i int, f *RowFailure) int {
+					failMu.Lock()
+					defer failMu.Unlock()
+					failures = append(failures, f)
+					return -1
+				},
 			)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Failures) != 1 {
-				t.Fatalf("failures = %v, want exactly one", rep.Failures)
+			if len(failures) != 1 {
+				t.Fatalf("failures = %v, want exactly one", failures)
 			}
-			f := rep.Failures[0]
+			f := failures[0]
 			if f.Index != 4 || f.Stuck || f.PanicValue != "injected row failure" {
 				t.Errorf("failure = %+v", f)
 			}
@@ -160,8 +199,8 @@ func TestDoRobustKeepGoingPanic(t *testing.T) {
 			if _, ok := sink.Restore(4); ok {
 				t.Error("failed row was recorded to the sink; resume would skip retrying it")
 			}
-			if rep.Done() != 9 || rep.Computed != 10 {
-				t.Errorf("report %+v", rep)
+			if sink.len() != 9 || computed.Load() != 10 {
+				t.Errorf("%d rows recorded, %d computed; want 9 and 10", sink.len(), computed.Load())
 			}
 		})
 	}
@@ -197,7 +236,7 @@ func TestDoRobustFailFastPanicFlushesThenRepanics(t *testing.T) {
 func TestDoRobustFailFastTimeout(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	_, _, err := DoRobust(Options{Workers: 2, RowTimeout: 50 * time.Millisecond}, 6, JSONCodec[int](), noScope, noExit,
+	_, err := DoRobust(Options{Workers: 2, RowTimeout: 50 * time.Millisecond}, 6, JSONCodec[int](), noScope, noExit,
 		func(_ struct{}, i int) int {
 			if i == 1 {
 				<-block
@@ -219,7 +258,8 @@ func TestDoRobustFailFastTimeout(t *testing.T) {
 func TestDoRobustKeepGoingStuckRowReplacesScope(t *testing.T) {
 	var enters, exits atomic.Int64
 	block := make(chan struct{})
-	out, rep, err := DoRobust(
+	var failures []*RowFailure
+	out, err := DoRobust(
 		Options{Workers: 1, KeepGoing: true, RowTimeout: 50 * time.Millisecond},
 		5, JSONCodec[int](),
 		func() int { return int(enters.Add(1)) },
@@ -230,13 +270,13 @@ func TestDoRobustKeepGoingStuckRowReplacesScope(t *testing.T) {
 			}
 			return i * 10
 		},
-		func(i int, f *RowFailure) int { return -1 },
+		func(i int, f *RowFailure) int { failures = append(failures, f); return -1 },
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Failures) != 1 || rep.Failures[0].Index != 2 || !rep.Failures[0].Stuck {
-		t.Fatalf("failures = %+v", rep.Failures)
+	if len(failures) != 1 || failures[0].Index != 2 || !failures[0].Stuck {
+		t.Fatalf("failures = %+v", failures)
 	}
 	if out[2] != -1 || out[4] != 40 {
 		t.Fatalf("out = %v; rows after the stuck one must still run", out)
@@ -260,7 +300,7 @@ func TestDoRobustKeepGoingStuckRowReplacesScope(t *testing.T) {
 
 func TestDoRobustInterruptAndResume(t *testing.T) {
 	const n = 40
-	want, _, err := DoRobust(Options{Workers: 1}, n, JSONCodec[int](), noScope, noExit, square, nil)
+	want, err := DoRobust(Options{Workers: 1}, n, JSONCodec[int](), noScope, noExit, square, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +309,8 @@ func TestDoRobustInterruptAndResume(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			sink := newMemSink()
 			stop := NewStopper()
-			_, rep, err := DoRobust(
-				Options{Workers: workers, Sink: sink, Stop: stop, FlushEvery: 4,
+			_, err := DoRobust(
+				Options{Workers: workers, Sink: sink, Stop: stop,
 					AfterRow: func(done int) {
 						if done >= 5 {
 							stop.Stop()
@@ -281,24 +321,23 @@ func TestDoRobustInterruptAndResume(t *testing.T) {
 			if !errors.As(err, &ie) {
 				t.Fatalf("err = %v, want *InterruptedError", err)
 			}
-			if !rep.Interrupted || ie.Total != n || ie.Done != rep.Done() {
-				t.Errorf("rep=%+v ie=%+v", rep, ie)
+			if ie.Total != n || ie.Done >= n {
+				t.Fatalf("interrupt reports %+v for %d rows", ie, n)
 			}
-			if ie.Done >= n {
-				t.Fatalf("interrupted run claims all %d rows done", n)
-			}
-			if sink.len() != rep.Done() {
-				t.Errorf("sink holds %d rows, report says %d durable", sink.len(), rep.Done())
+			if sink.len() != ie.Done {
+				t.Errorf("sink holds %d rows, interrupt says %d durable", sink.len(), ie.Done)
 			}
 
 			// Resume against the same sink: restored + computed covers
 			// everything and the merged output is identical.
-			out2, rep2, err := DoRobust(Options{Workers: workers, Sink: sink}, n, JSONCodec[int](), noScope, noExit, square, nil)
+			var computed atomic.Int64
+			out2, err := DoRobust(Options{Workers: workers, Sink: sink, AfterRow: func(int) { computed.Add(1) }},
+				n, JSONCodec[int](), noScope, noExit, square, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep2.Restored != ie.Done {
-				t.Errorf("resume restored %d rows, checkpoint held %d", rep2.Restored, ie.Done)
+			if int(computed.Load()) != n-ie.Done {
+				t.Errorf("resume computed %d rows, want the %d the checkpoint lacked", computed.Load(), n-ie.Done)
 			}
 			for i := range want {
 				if out2[i] != want[i] {
@@ -313,13 +352,13 @@ func TestDoRobustStopBeforeStartComputesNothing(t *testing.T) {
 	stop := NewStopper()
 	stop.Stop()
 	var ran atomic.Int64
-	_, rep, err := DoRobust(Options{Workers: 4, Stop: stop}, 10, JSONCodec[int](), noScope, noExit,
+	_, err := DoRobust(Options{Workers: 4, Stop: stop}, 10, JSONCodec[int](), noScope, noExit,
 		func(_ struct{}, i int) int { ran.Add(1); return i }, nil)
 	var ie *InterruptedError
 	if !errors.As(err, &ie) || ie.Done != 0 {
 		t.Fatalf("err = %v, want InterruptedError with 0 done", err)
 	}
-	if ran.Load() != 0 || rep.Computed != 0 {
+	if ran.Load() != 0 {
 		t.Fatalf("stopped pool still ran %d rows", ran.Load())
 	}
 }
@@ -333,7 +372,7 @@ func TestRunPoisonDrainsPromptly(t *testing.T) {
 	started := make(chan struct{})
 	func() {
 		defer func() { recover() }()
-		Do(workers, n, func(i int) int {
+		Do(workers, n, nil, func(i int) int {
 			if i == 0 {
 				close(started)
 				panic("poison")
@@ -357,7 +396,7 @@ func TestDoErrMixedPanicAndError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		v := func() (v any) {
 			defer func() { v = recover() }()
-			_, err := DoErr(workers, 12, func(i int) (int, error) {
+			_, err := DoErr(workers, 12, nil, func(i int) (int, error) {
 				switch i {
 				case 3:
 					return 0, errors.New("row error")

@@ -27,8 +27,8 @@ var (
 // Stats is a snapshot of the scheduler counters. All fields are
 // cumulative since process start or the last ResetStats.
 type Stats struct {
-	// Runs counts fan-outs (one per Do/DoErr/DoScoped/DoRobust call,
-	// serial or parallel).
+	// Runs counts fan-outs (one per Do, DoErr or DoRobust call, serial
+	// or parallel).
 	Runs int64 `json:"runs"`
 	// Rows counts rows handed to the engine across all fan-outs.
 	Rows int64 `json:"rows"`

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/memmodel"
-	"repro/internal/sched"
 )
 
 // TestCrashSweepAF exhaustively crash-sweeps a tiny A_f scenario for both
@@ -73,54 +72,5 @@ func TestCrashSweepMootPoint(t *testing.T) {
 	}
 	if !out.Live() || !out.Safe() {
 		t.Errorf("moot point outcome not live+safe: %+v", out)
-	}
-}
-
-// TestCrashSweepSampledDeterministic pins that the sampled sweep is a pure
-// function of its seeds.
-func TestCrashSweepSampledDeterministic(t *testing.T) {
-	sc := Scenario{NReaders: 2, NWriters: 1, ReaderPassages: 1, WriterPassages: 1}
-	newAlg := func() memmodel.Algorithm { return baseline.NewCentralized() }
-	victims := []int{0, 2}
-	run := func() []CrashOutcome {
-		outs, err := CrashSweepSampled(newAlg, sc, victims, []int64{7, 8}, 5, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outs
-	}
-	a, b := run(), run()
-	if len(a) != 10 || len(b) != 10 {
-		t.Fatalf("lengths %d/%d, want 10 (2 seeds x 5 points)", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Point != b[i].Point || a[i].Hung != b[i].Hung || a[i].CrashSection != b[i].CrashSection {
-			t.Fatalf("outcome %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-		if !a[i].Safe() {
-			t.Errorf("%s: ME violations %v", a[i].Point, a[i].MEViolations)
-		}
-		if a[i].BudgetExceeded {
-			t.Errorf("%s: step budget hit", a[i].Point)
-		}
-	}
-}
-
-// TestCrashSweepSampledPCT exercises the PCT-scheduler variant.
-func TestCrashSweepSampledPCT(t *testing.T) {
-	sc := Scenario{NReaders: 2, NWriters: 1, ReaderPassages: 1, WriterPassages: 1}
-	newAlg := func() memmodel.Algorithm { return core.New(core.FOne) }
-	mk := func(seed int64) sched.Scheduler { return sched.NewPCT(seed, 3, 4096) }
-	outs, err := CrashSweepSampled(newAlg, sc, []int{0, 2}, []int64{1, 2}, 4, mk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outs {
-		if !o.Safe() {
-			t.Errorf("%s: ME violations %v", o.Point, o.MEViolations)
-		}
-		if o.BudgetExceeded {
-			t.Errorf("%s: step budget hit", o.Point)
-		}
 	}
 }

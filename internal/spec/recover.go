@@ -273,41 +273,20 @@ func runCrashRecoverOn(c *runnerCache, alg memmodel.RecoverableAlgorithm, sc Sce
 // then re-executes it from scratch for every crash point of the victim,
 // restarting the victim delay steps after each crash. newAlg must return
 // fresh instances and mkSched fresh scheduler state per run; a nil mkSched
-// selects round-robin. The Scenario's Scheduler field is ignored.
-// The recovery runs fan out across sc.Parallel workers (see
-// Scenario.Parallel) with byte-identical results at every worker count;
-// with Parallel != 1, newAlg and mkSched are called concurrently and must
-// be safe for that (pure constructors are).
+// selects round-robin. The Scenario's Scheduler field is ignored. The
+// recovery runs fan out across sc.Parallel workers (see
+// Scenario.Parallel).
 func RecoverySweep(newAlg func() memmodel.RecoverableAlgorithm, sc Scenario, victim, delay int, mkSched func() sched.Scheduler) ([]*RecoverOutcome, error) {
-	if mkSched == nil {
-		mkSched = func() sched.Scheduler { return sched.NewRoundRobin() }
-	}
-	ref := sc
-	ref.Scheduler = mkSched()
-	refOut := RunCrashRecover(newAlg(), ref, nil)
-	if !refOut.OK() {
-		return nil, fmt.Errorf("recovery sweep: reference run of %s failed: %s",
-			refOut.Algorithm, refOut.Failures())
-	}
-	n := refOut.Steps + 1
-	return robustDo(sc, "recover", refOut.Algorithm,
-		[]string{"recover", refOut.Algorithm, fpScenario(sc), mkSched().Name(),
-			fmt.Sprintf("victim=%d delay=%d refsteps=%d", victim, delay, refOut.Steps)},
-		n,
-		// Known row shape: replay the k-step prefix, sit out the restart
-		// delay, then run recovery plus the survivors' remainder.
-		func(k int) int64 { return int64(refOut.Steps + k + delay) },
-		func(k int) string { return fault.RestartPoint{Victim: victim, Step: k, Delay: delay}.String() },
-		func(c *runnerCache, k int) *RecoverOutcome {
-			run := sc
-			run.Scheduler = mkSched()
-			return runCrashRecoverOn(c, newAlg(), run,
-				[]fault.RestartPoint{{Victim: victim, Step: k, Delay: delay}})
-		},
-		func(k int, f *parwork.RowFailure) *RecoverOutcome {
-			return &RecoverOutcome{Algorithm: refOut.Algorithm, Scenario: sc,
-				Points: []fault.RestartPoint{{Victim: victim, Step: k, Delay: delay}}, Err: f}
-		})
+	return sweep(sc, restartPlan(newAlg, sc, "recover",
+		fmt.Sprintf("victim=%d delay=%d", victim, delay),
+		fixedSched(mkSched),
+		func(_ int64, steps int) [][]fault.RestartPoint {
+			pts := make([][]fault.RestartPoint, steps+1)
+			for k := range pts {
+				pts[k] = []fault.RestartPoint{{Victim: victim, Step: k, Delay: delay}}
+			}
+			return pts
+		}))
 }
 
 // RecoverySweepRecrash sweeps double-crash configurations: the victim is
@@ -316,111 +295,86 @@ func RecoverySweep(newAlg func() memmodel.RecoverableAlgorithm, sc Scenario, vic
 // lands inside the recovery section, exercising re-crashed recovery. The
 // victim's third incarnation must finish the repair.
 func RecoverySweepRecrash(newAlg func() memmodel.RecoverableAlgorithm, sc Scenario, victim, stride int, offsets []int, mkSched func() sched.Scheduler) ([]*RecoverOutcome, error) {
-	if mkSched == nil {
-		mkSched = func() sched.Scheduler { return sched.NewRoundRobin() }
-	}
 	if stride < 1 {
 		stride = 1
 	}
-	ref := sc
-	ref.Scheduler = mkSched()
-	refOut := RunCrashRecover(newAlg(), ref, nil)
-	if !refOut.OK() {
-		return nil, fmt.Errorf("recovery sweep: reference run of %s failed: %s",
-			refOut.Algorithm, refOut.Failures())
-	}
-	pairs := make([][2]fault.RestartPoint, 0, (refOut.Steps/stride+1)*len(offsets))
-	for k := 0; k <= refOut.Steps; k += stride {
-		for _, off := range offsets {
-			if off < 1 {
-				// A same-step second point fires while the victim is still
-				// dead and is skipped; only strictly-later offsets re-crash.
-				continue
+	return sweep(sc, restartPlan(newAlg, sc, "recover-recrash",
+		fmt.Sprintf("victim=%d stride=%d offsets=%v", victim, stride, offsets),
+		fixedSched(mkSched),
+		func(_ int64, steps int) [][]fault.RestartPoint {
+			pairs := make([][]fault.RestartPoint, 0, (steps/stride+1)*len(offsets))
+			for k := 0; k <= steps; k += stride {
+				for _, off := range offsets {
+					if off < 1 {
+						// A same-step second point fires while the victim
+						// is still dead and is skipped; only strictly-later
+						// offsets re-crash.
+						continue
+					}
+					pairs = append(pairs, []fault.RestartPoint{
+						{Victim: victim, Step: k, Delay: 0},
+						{Victim: victim, Step: k + off, Delay: 0},
+					})
+				}
 			}
-			pairs = append(pairs, [2]fault.RestartPoint{
-				{Victim: victim, Step: k, Delay: 0},
-				{Victim: victim, Step: k + off, Delay: 0},
-			})
-		}
-	}
-	return robustDo(sc, "recover-recrash", refOut.Algorithm,
-		[]string{"recover-recrash", refOut.Algorithm, fpScenario(sc), mkSched().Name(),
-			fmt.Sprintf("victim=%d stride=%d offsets=%v refsteps=%d", victim, stride, offsets, refOut.Steps)},
-		len(pairs),
-		// The second crash lands at pairs[i][1].Step and triggers a second
-		// recovery, so it bounds the pair's replayed prefix.
-		func(i int) int64 { return int64(refOut.Steps + pairs[i][1].Step) },
-		func(i int) string { return fmt.Sprintf("%s then %s", pairs[i][0], pairs[i][1]) },
-		func(c *runnerCache, i int) *RecoverOutcome {
-			run := sc
-			run.Scheduler = mkSched()
-			return runCrashRecoverOn(c, newAlg(), run, pairs[i][:])
-		},
-		func(i int, f *parwork.RowFailure) *RecoverOutcome {
-			return &RecoverOutcome{Algorithm: refOut.Algorithm, Scenario: sc,
-				Points: pairs[i][:], Err: f}
-		})
+			return pairs
+		}))
 }
 
 // RecoverySweepSampled samples restart points under seed-parameterized
-// schedules, deduplicated per seed like CrashSweepSampled. mkSched builds
-// the scheduler for a seed; nil selects sched.NewRandom.
-// Both phases fan out across sc.Parallel workers; see RecoverySweep for
-// the concurrency requirements on newAlg and mkSched.
+// schedules, deduplicated per seed (a duplicate point would re-run an
+// identical execution). mkSched builds the scheduler for a seed; nil
+// selects sched.NewRandom. Both phases fan out across sc.Parallel workers
+// (see Scenario.Parallel).
 func RecoverySweepSampled(newAlg func() memmodel.RecoverableAlgorithm, sc Scenario, victims []int, seeds []int64, perSeed, delay int, mkSched func(seed int64) sched.Scheduler) ([]*RecoverOutcome, error) {
-	if mkSched == nil {
-		mkSched = func(seed int64) sched.Scheduler { return sched.NewRandom(seed) }
-	}
-	workers := sweepWorkers(sc)
-	type job struct {
-		seed int64
-		pt   fault.RestartPoint
-		ref  int // the seed's reference step count, the row's cost scale
-	}
-	type seedJobs struct {
-		jobs     []job
-		refSteps int
-	}
-	perSeedJobs, err := parwork.DoErr(workers, len(seeds), func(i int) (seedJobs, error) {
-		seed := seeds[i]
-		ref := sc
-		ref.Scheduler = mkSched(seed)
-		refOut := RunCrashRecover(newAlg(), ref, nil)
-		if !refOut.OK() {
-			return seedJobs{}, fmt.Errorf("recovery sweep: reference run of %s (seed %d) failed: %s",
-				refOut.Algorithm, seed, refOut.Failures())
-		}
-		pts := dedupPoints(fault.RandomPoints(seed, victims, refOut.Steps+1, perSeed))
-		jobs := make([]job, len(pts))
-		for k, pt := range pts {
-			jobs[k] = job{seed: seed, pt: fault.RestartPoint{Victim: pt.Victim, Step: pt.Step, Delay: delay}, ref: refOut.Steps}
-		}
-		return seedJobs{jobs: jobs, refSteps: refOut.Steps}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]job, 0, len(seeds)*perSeed)
-	refSteps := make([]int, 0, len(seeds))
-	for _, sj := range perSeedJobs {
-		jobs = append(jobs, sj.jobs...)
-		refSteps = append(refSteps, sj.refSteps)
-	}
-	algName := newAlg().Name()
-	return robustDo(sc, "recover-sampled", algName,
-		[]string{"recover-sampled", algName, fpScenario(sc), sampledSchedName(mkSched, seeds),
-			fmt.Sprintf("victims=%v seeds=%v perSeed=%d delay=%d refsteps=%v",
-				victims, seeds, perSeed, delay, refSteps)},
-		len(jobs),
-		func(i int) int64 { return int64(jobs[i].ref + jobs[i].pt.Step + jobs[i].pt.Delay) },
-		func(i int) string { return fmt.Sprintf("seed=%d %s", jobs[i].seed, jobs[i].pt) },
-		func(c *runnerCache, i int) *RecoverOutcome {
-			run := sc
-			run.Scheduler = mkSched(jobs[i].seed)
-			return runCrashRecoverOn(c, newAlg(), run, []fault.RestartPoint{jobs[i].pt})
-		},
-		func(i int, f *parwork.RowFailure) *RecoverOutcome {
-			return &RecoverOutcome{Algorithm: algName, Scenario: sc,
-				Points: []fault.RestartPoint{jobs[i].pt}, Err: f}
+	pl := restartPlan(newAlg, sc, "recover-sampled",
+		fmt.Sprintf("victims=%v seeds=%v perSeed=%d delay=%d", victims, seeds, perSeed, delay),
+		mkSched,
+		func(seed int64, steps int) [][]fault.RestartPoint {
+			drawn := dedupPoints(fault.RandomPoints(seed, victims, steps+1, perSeed))
+			pts := make([][]fault.RestartPoint, len(drawn))
+			for k, pt := range drawn {
+				pts[k] = []fault.RestartPoint{{Victim: pt.Victim, Step: pt.Step, Delay: delay}}
+			}
+			return pts
 		})
+	pl.sampled, pl.seeds = true, seeds
+	return sweep(sc, pl)
+}
+
+// restartPlan is the plan of the recovery sweeps: each row crashes and
+// restarts its victim at every point of its list.
+func restartPlan(newAlg func() memmodel.RecoverableAlgorithm, sc Scenario, kind, params string,
+	mkSched func(seed int64) sched.Scheduler, points func(seed int64, steps int) [][]fault.RestartPoint,
+) sweepPlan[[]fault.RestartPoint, *RecoverOutcome] {
+	alg := newAlg().Name()
+	return sweepPlan[[]fault.RestartPoint, *RecoverOutcome]{
+		kind: kind, label: "recovery sweep", alg: alg, params: params,
+		mkSched: mkSched,
+		ref: func(run Scenario) (int, verdict) {
+			out := RunCrashRecover(newAlg(), run, nil)
+			return out.Steps, out
+		},
+		points: points,
+		// Known row shape: replay the prefix up to the last crash, sit out
+		// its restart delay, then run recovery plus the survivors'
+		// remainder.
+		cost: func(steps int, pts []fault.RestartPoint) int64 {
+			last := pts[len(pts)-1]
+			return int64(steps + last.Step + last.Delay)
+		},
+		row: func(c *runnerCache, run Scenario, pts []fault.RestartPoint) *RecoverOutcome {
+			return runCrashRecoverOn(c, newAlg(), run, pts)
+		},
+		info: func(pts []fault.RestartPoint) string {
+			s := pts[0].String()
+			for _, pt := range pts[1:] {
+				s += " then " + pt.String()
+			}
+			return s
+		},
+		stub: func(pts []fault.RestartPoint, f *parwork.RowFailure) *RecoverOutcome {
+			return &RecoverOutcome{Algorithm: alg, Scenario: sc, Points: pts, Err: f}
+		},
+	}
 }

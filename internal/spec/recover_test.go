@@ -158,32 +158,30 @@ func TestRecoverOutcomeVerdictCoverage(t *testing.T) {
 	}
 }
 
-// TestCrashSweepSampledDeduplicates pins the duplicate-point fix: with a
-// tiny step range and many draws per seed, the pigeonhole principle forces
-// duplicates, and the sweep must run strictly fewer executions than draws.
-func TestCrashSweepSampledDeduplicates(t *testing.T) {
+// TestRecoverySweepSampledDeduplicates pins the duplicate-point fix: with
+// a tiny step range and many draws per seed, the pigeonhole principle
+// forces duplicates, and the sweep must run strictly fewer executions than
+// draws.
+func TestRecoverySweepSampledDeduplicates(t *testing.T) {
 	sc := Scenario{NReaders: 1, NWriters: 1, ReaderPassages: 1, WriterPassages: 1}
-	newAlg := func() memmodel.Algorithm { return recoverable.NewCentralized() }
-	outs, err := CrashSweepSampled(newAlg, sc, []int{0}, []int64{42}, 50, func(seed int64) sched.Scheduler {
-		return sched.NewRoundRobin()
-	})
+	rr := func(int64) sched.Scheduler { return sched.NewRoundRobin() }
+	outs, err := RecoverySweepSampled(newRCentralized, sc, []int{0}, []int64{42}, 50, 0, rr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) >= 50 {
 		t.Fatalf("sweep ran %d executions for 50 draws over a tiny range; dedup not applied", len(outs))
 	}
-	seen := make(map[fault.Point]bool)
+	seen := make(map[fault.RestartPoint]bool)
 	for _, o := range outs {
-		if seen[o.Point] {
-			t.Errorf("duplicate point %v survived dedup", o.Point)
+		if seen[o.Points[0]] {
+			t.Errorf("duplicate point %v survived dedup", o.Points[0])
 		}
-		seen[o.Point] = true
+		seen[o.Points[0]] = true
 	}
+	requireAllOK(t, outs)
 	// Determinism: the same seed yields the same deduplicated point list.
-	again, err := CrashSweepSampled(newAlg, sc, []int{0}, []int64{42}, 50, func(seed int64) sched.Scheduler {
-		return sched.NewRoundRobin()
-	})
+	again, err := RecoverySweepSampled(newRCentralized, sc, []int{0}, []int64{42}, 50, 0, rr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +189,28 @@ func TestCrashSweepSampledDeduplicates(t *testing.T) {
 		t.Fatalf("re-run produced %d points, first run %d", len(again), len(outs))
 	}
 	for i := range outs {
-		if outs[i].Point != again[i].Point {
-			t.Errorf("point %d differs across runs: %v vs %v", i, outs[i].Point, again[i].Point)
+		if outs[i].Points[0] != again[i].Points[0] {
+			t.Errorf("point %d differs across runs: %v vs %v", i, outs[i].Points[0], again[i].Points[0])
 		}
+	}
+}
+
+// TestRecoverySweepSampledDeterministic pins that the sampled sweep is a
+// pure function of its seeds.
+func TestRecoverySweepSampledDeterministic(t *testing.T) {
+	sc := recoverScenario(2, 1)
+	run := func() string {
+		outs, err := RecoverySweepSampled(newRCentralized, sc, []int{0, 2}, []int64{1, 2}, 4, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outs) == 0 {
+			t.Fatal("empty sampled sweep")
+		}
+		requireAllOK(t, outs)
+		return renderPtrs(outs)
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("outcomes diverged across identical seeds:\n%s\nvs\n%s", a, b)
 	}
 }

@@ -1,15 +1,13 @@
-// Robust sweep execution: every sweep entry point in this package routes
-// its fan-out through robustDo, which is a thin dispatcher — with no
-// robustness options in play it is exactly the historical
-// parwork.DoScoped call, and with options active it runs the same jobs
-// through parwork.DoRobust with a checkpoint section as the durable sink.
-// The result slots are identical either way; that is what makes an
-// interrupted-and-resumed sweep byte-identical to an uninterrupted one
-// (see TestCheckpointResumeDeterminism).
+// Robust sweep execution: the options every sweep entry point honors. The
+// sweep driver (sweep.go) always fans its rows out through
+// parwork.DoRobust, and RobustOptions only choose which of its behaviors
+// are on; with none on it is a plain fan-out. The result slots are
+// identical either way, which makes an interrupted-and-resumed sweep
+// byte-identical to an uninterrupted one (TestCheckpointResumeDeterminism,
+// TestSweepGolden).
 package spec
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -47,12 +45,6 @@ type RobustOptions struct {
 	AfterRow func(done int)
 }
 
-// active reports whether any robust behavior is requested.
-func (o *RobustOptions) active() bool {
-	return o != nil && (o.Store != nil || o.KeepGoing || o.RowTimeout > 0 ||
-		o.Stop != nil || o.AfterRow != nil)
-}
-
 // defaultRobust is the process-wide default (see SetDefaultRobust).
 var defaultRobust atomic.Pointer[RobustOptions]
 
@@ -74,66 +66,4 @@ func EffectiveRobust(sc Scenario) *RobustOptions {
 		return sc.Robust
 	}
 	return DefaultRobust()
-}
-
-// robustDo is the single fan-out point for every sweep in this package.
-// kind/algName/fpParts identify the sweep to the checkpoint store: kind
-// and algName name the section, fpParts fingerprint the full
-// configuration (they must determine the row set exactly and contain
-// nothing execution-dependent such as worker counts). cost is the
-// scheduling hint for row i (parwork.CostHint semantics; nil when the
-// sweep's rows have no known shape and uniform chunking plus stealing is
-// the whole story — hints never affect results, only the schedule).
-// rowInfo describes row i for failure reports; onFailure builds the
-// keep-going placeholder outcome carrying the row's *parwork.RowFailure.
-func robustDo[T any](
-	sc Scenario,
-	kind, algName string,
-	fpParts []string,
-	n int,
-	cost parwork.CostHint,
-	rowInfo func(i int) string,
-	job func(c *runnerCache, i int) T,
-	onFailure func(i int, f *parwork.RowFailure) T,
-) ([]T, error) {
-	workers := sweepWorkers(sc)
-	ro := EffectiveRobust(sc)
-	if !ro.active() {
-		return parwork.DoScopedCost(workers, n, cost,
-			func() *runnerCache { return &runnerCache{} },
-			(*runnerCache).close,
-			job), nil
-	}
-	opt := parwork.Options{
-		Workers:    workers,
-		KeepGoing:  ro.KeepGoing,
-		RowTimeout: ro.RowTimeout,
-		Stop:       ro.Stop,
-		Cost:       cost,
-		RowInfo:    rowInfo,
-		AfterRow:   ro.AfterRow,
-	}
-	if ro.Store != nil {
-		sec, err := ro.Store.Section(kind+"/"+algName, checkpoint.Fingerprint(fpParts...), n)
-		if err != nil {
-			return nil, err
-		}
-		opt.Sink = sec
-	}
-	outs, _, err := parwork.DoRobust(opt, n, parwork.JSONCodec[T](),
-		func() *runnerCache { return &runnerCache{} },
-		(*runnerCache).close,
-		job, onFailure)
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// fpScenario renders the scenario fields a sweep fingerprint must cover:
-// everything String() shows plus the step budget and CS padding, which
-// also shape results. The scheduler name is passed separately (the sweeps
-// ignore sc.Scheduler in favor of their mkSched factories).
-func fpScenario(sc Scenario) string {
-	return fmt.Sprintf("%s csreads=%d maxsteps=%d", sc.String(), sc.CSReads, sc.MaxSteps)
 }

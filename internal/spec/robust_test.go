@@ -35,8 +35,8 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			outs, err := CrashSweep(newAlg, sc, 0, nil)
 			return render(outs), err
 		}},
-		{"StallSweepSampled", func(sc Scenario) (string, error) {
-			outs, err := StallSweepSampled(newAlg, sc, []int{0, 2}, seeds, 6, nil)
+		{"MixedSweepSampled", func(sc Scenario) (string, error) {
+			outs, err := MixedSweepSampled(newAlg, sc, []int{0, 1}, []int{2, 3}, seeds, 6, nil)
 			return render(outs), err
 		}},
 		{"RecoverySweepSampled", func(sc Scenario) (string, error) {
@@ -274,7 +274,7 @@ func TestSweepCheckpointMismatchRejected(t *testing.T) {
 		st, _ := checkpoint.Open(path, false)
 		sc := base
 		sc.Robust = &RobustOptions{Store: st}
-		if _, err := StallSweepSampled(newAlg, sc, []int{0}, seeds, 3, nil); err != nil {
+		if _, err := MixedSweepSampled(newAlg, sc, []int{0}, []int{1}, seeds, 3, nil); err != nil {
 			t.Fatal(err)
 		}
 		st2, err := checkpoint.Open(path, true)
@@ -283,7 +283,7 @@ func TestSweepCheckpointMismatchRejected(t *testing.T) {
 		}
 		sc2 := base
 		sc2.Robust = &RobustOptions{Store: st2}
-		_, err = StallSweepSampled(newAlg, sc2, []int{0}, []int64{1, 3}, 3, nil)
+		_, err = MixedSweepSampled(newAlg, sc2, []int{0}, []int{1}, []int64{1, 3}, 3, nil)
 		var mm *checkpoint.MismatchError
 		if !errors.As(err, &mm) {
 			t.Fatalf("changed seeds resumed with err = %v, want *checkpoint.MismatchError", err)

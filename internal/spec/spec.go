@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/memmodel"
-	"repro/internal/parwork"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -45,20 +44,22 @@ type Scenario struct {
 	// goroutines.
 	Observer func(trace.Event)
 	// Parallel is the worker count the sweep entry points (CrashSweep,
-	// StallSweep, RecoverySweep, and their sampled variants) fan their
-	// independent executions across. 0 selects the process default
-	// (parwork.Default, typically GOMAXPROCS; the cmd binaries set it from
-	// -parallel); 1 forces serial execution. Results are byte-identical at
-	// every worker count — see internal/parwork. Single executions (Run,
-	// RunCrash, ...) ignore it.
+	// StallSweep, RecoverySweep, and their sampled and re-crash variants)
+	// fan their independent executions across. 0 selects the process
+	// default (parwork.Default, typically GOMAXPROCS; the cmd binaries set
+	// it from -parallel); 1 forces serial execution. Results are
+	// byte-identical at every worker count — see internal/parwork. With
+	// Parallel != 1 a sweep calls its newAlg and mkSched factories
+	// concurrently, so they must be safe for that (pure constructors
+	// are). Single executions (Run, RunCrash, ...) ignore it.
 	Parallel int
 	// Robust selects the sweep entry points' robust execution options
 	// (checkpointing, cooperative cancellation, per-row failure
 	// isolation, row deadline — see RobustOptions). nil selects the
 	// process default (SetDefaultRobust, set by the cmd binaries'
 	// -checkpoint/-resume/-keep-going/-row-timeout flags); a non-nil
-	// zero-valued struct opts OUT of that default, forcing the plain
-	// fast path. Single executions ignore it. Like Parallel it never
+	// zero-valued struct opts OUT of that default, forcing a plain
+	// fan-out. Single executions ignore it. Like Parallel it never
 	// affects results: a resumed or keep-going sweep fills the same
 	// result slots with the same values (failed rows excepted).
 	Robust *RobustOptions
@@ -186,20 +187,11 @@ func (s *Scenario) defaults() {
 	}
 }
 
-// sweepWorkers resolves the worker count a sweep over sc fans out across:
-// the Parallel field (parwork-normalized), forced to 1 when the scenario
-// carries a shared user Observer, which must not be invoked concurrently.
-func sweepWorkers(sc Scenario) int {
-	if sc.Observer != nil {
-		return 1
-	}
-	return parwork.Workers(sc.Parallel)
-}
-
 // runnerCache lends one sim.Runner out to consecutive executions on the
 // same goroutine: the first get constructs it, later gets Reset it,
 // reusing the simulator's memory/coherence/account buffers. Each sweep
-// worker owns one cache (parwork.DoScoped), so runners are never shared.
+// worker owns one cache (its parwork.DoRobust scope), so runners are never
+// shared.
 type runnerCache struct{ r *sim.Runner }
 
 func (c *runnerCache) get(cfg sim.Config) *sim.Runner {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/memmodel"
+	"repro/internal/sched"
 )
 
 // TestStallSweepFast exhaustively stall-sweeps a tiny centralized scenario
@@ -162,43 +163,6 @@ func TestRunStallBypassAccounting(t *testing.T) {
 	}
 }
 
-// TestStallSweepSampledDeterministic pins that the sampled sweep is a
-// pure function of its seeds.
-func TestStallSweepSampledDeterministic(t *testing.T) {
-	sc := Scenario{NReaders: 2, NWriters: 1, ReaderPassages: 1, WriterPassages: 1}
-	newAlg := func() memmodel.Algorithm { return baseline.NewFlagArray() }
-	victims := []int{0, sc.NReaders}
-	seeds := []int64{1, 2}
-	a, err := StallSweepSampled(newAlg, sc, victims, seeds, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := StallSweepSampled(newAlg, sc, victims, seeds, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("sweep sizes %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Point != b[i].Point || a[i].Completed != b[i].Completed ||
-			a[i].StallSection != b[i].StallSection || a[i].Doomed() != b[i].Doomed() {
-			t.Fatalf("outcome %d diverged across identical seeds:\n%+v\n%+v", i, a[i], b[i])
-		}
-	}
-	if v := StallViolations(a); len(v) != 0 {
-		t.Fatalf("contract violations:\n%v", v)
-	}
-	pts := make(map[fault.StallPoint]bool)
-	for _, o := range a {
-		loc := fault.StallPoint{Victim: o.Point.Victim, Step: o.Point.Step}
-		if pts[loc] {
-			t.Fatalf("duplicate sampled location %v", o.Point)
-		}
-		pts[loc] = true
-	}
-}
-
 // TestMixedSweepSampled checks the combined crash+stall model on the
 // centralized baseline: safety and watchdog attribution must hold in
 // every sampled run even when one victim dies and another goes slow.
@@ -222,6 +186,61 @@ func TestMixedSweepSampled(t *testing.T) {
 		}
 		if o.BudgetExceeded {
 			t.Errorf("%s + %s: hang escaped the watchdog", o.CrashPoints[0], o.Point)
+		}
+		for _, m := range o.Misclassified {
+			t.Errorf("%s + %s: %s", o.CrashPoints[0], o.Point, m)
+		}
+	}
+}
+
+// TestMixedSweepSampledDeterministic pins that the sampled sweep is a
+// pure function of its seeds.
+func TestMixedSweepSampledDeterministic(t *testing.T) {
+	sc := Scenario{NReaders: 2, NWriters: 1, ReaderPassages: 1, WriterPassages: 1}
+	newAlg := func() memmodel.Algorithm { return baseline.NewCentralized() }
+	run := func() []StallOutcome {
+		outs, err := MixedSweepSampled(newAlg, sc, []int{0, 2}, []int{1}, []int64{7, 8}, 5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs
+	}
+	a, b := run(), run()
+	if len(a) != 10 || len(b) != 10 {
+		t.Fatalf("lengths %d/%d, want 10 (2 seeds x 5 collision-free pairs)", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Point != b[i].Point || !reflect.DeepEqual(a[i].CrashPoints, b[i].CrashPoints) ||
+			a[i].Completed != b[i].Completed || a[i].StallSection != b[i].StallSection {
+			t.Fatalf("outcome %d diverged across identical seeds:\n%+v\n%+v", i, a[i], b[i])
+		}
+		if !a[i].Safe() {
+			t.Errorf("%s: ME violations %v", a[i].Point, a[i].MEViolations)
+		}
+		if a[i].BudgetExceeded {
+			t.Errorf("%s: step budget hit", a[i].Point)
+		}
+	}
+}
+
+// TestMixedSweepSampledPCT exercises a PCT scheduler factory.
+func TestMixedSweepSampledPCT(t *testing.T) {
+	sc := Scenario{NReaders: 2, NWriters: 1, ReaderPassages: 1, WriterPassages: 1}
+	newAlg := func() memmodel.Algorithm { return core.New(core.FOne) }
+	mk := func(seed int64) sched.Scheduler { return sched.NewPCT(seed, 3, 4096) }
+	outs, err := MixedSweepSampled(newAlg, sc, []int{0, 2}, []int{1}, []int64{1, 2}, 4, mk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) == 0 {
+		t.Fatal("empty PCT sweep")
+	}
+	for _, o := range outs {
+		if !o.Safe() {
+			t.Errorf("%s + %s: ME violations %v", o.CrashPoints[0], o.Point, o.MEViolations)
+		}
+		if o.BudgetExceeded {
+			t.Errorf("%s + %s: step budget hit", o.CrashPoints[0], o.Point)
 		}
 		for _, m := range o.Misclassified {
 			t.Errorf("%s + %s: %s", o.CrashPoints[0], o.Point, m)
