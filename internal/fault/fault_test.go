@@ -32,7 +32,7 @@ func producerConsumer(t *testing.T) (*sim.Runner, memmodel.Var) {
 func TestCrashBeforeWriteWedgesConsumer(t *testing.T) {
 	r, flag := producerConsumer(t)
 	defer r.Close()
-	err := Drive(r, []Point{{Victim: 0, Step: 0}})
+	_, err := Drive(r, Plan{Crashes: []Point{{Victim: 0, Step: 0}}})
 	if err == nil {
 		t.Fatal("expected no-progress error")
 	}
@@ -60,7 +60,7 @@ func TestCrashAfterWriteLetsConsumerFinish(t *testing.T) {
 	defer r.Close()
 	// Round-robin runs p0's flag write at step 0; killing p0 at step 1
 	// leaves its scratch write untaken but p1 unblocked.
-	if err := Drive(r, []Point{{Victim: 0, Step: 1}}); err != nil {
+	if _, err := Drive(r, Plan{Crashes: []Point{{Victim: 0, Step: 1}}}); err != nil {
 		t.Fatalf("Drive: %v", err)
 	}
 	if !r.Terminated() {
@@ -88,7 +88,7 @@ func TestExhaustiveSweep(t *testing.T) {
 	}
 	for _, pt := range ExhaustivePoints(0, total) {
 		r, _ := producerConsumer(t)
-		err := Drive(r, []Point{pt})
+		_, err := Drive(r, Plan{Crashes: []Point{pt}})
 		r.Close()
 		if pt.Step == 0 {
 			if !errors.Is(err, sim.ErrNoProgress) {
@@ -104,7 +104,7 @@ func TestDriveSkipsFinishedVictim(t *testing.T) {
 	r, _ := producerConsumer(t)
 	defer r.Close()
 	// p1 finishes at step 1; a later crash point against it is moot.
-	if err := Drive(r, []Point{{Victim: 1, Step: 3}}); err != nil {
+	if _, err := Drive(r, Plan{Crashes: []Point{{Victim: 1, Step: 3}}}); err != nil {
 		t.Fatalf("Drive: %v", err)
 	}
 	if len(r.Crashed()) != 0 {
@@ -180,7 +180,7 @@ func TestCrashAwaitingProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if err := Drive(r2, []Point{{Victim: 0, Step: 3}}); err != nil {
+	if _, err := Drive(r2, Plan{Crashes: []Point{{Victim: 0, Step: 3}}}); err != nil {
 		t.Fatalf("Drive: %v", err)
 	}
 	if !r2.Terminated() {

@@ -23,7 +23,7 @@ func TestDriveReleasesBarriers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := Drive(r, nil); err != nil {
+	if _, err := Drive(r, Plan{}); err != nil {
 		t.Fatalf("Drive: %v", err)
 	}
 	if !r.Terminated() {
@@ -48,7 +48,7 @@ func TestDriveCrashAtBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := Drive(r, []Point{{Victim: 0, Step: 0}}); err != nil {
+	if _, err := Drive(r, Plan{Crashes: []Point{{Victim: 0, Step: 0}}}); err != nil {
 		t.Fatalf("Drive: %v", err)
 	}
 	if got := r.Value(v); got != 0 {
@@ -56,7 +56,7 @@ func TestDriveCrashAtBarrier(t *testing.T) {
 	}
 }
 
-// recoverableProducer builds the DriveRecover fixture: p0 must write flag
+// recoverableProducer builds the crash-recovery fixture: p0 must write flag
 // before p1's Await can pass. p0's restart program inspects flag (shared
 // state survives the crash) and redoes the write only if it is missing.
 func recoverableProducer(t *testing.T) (*sim.Runner, func(int) sim.Program, memmodel.Var) {
@@ -92,9 +92,10 @@ func recoverableProducer(t *testing.T) (*sim.Runner, func(int) sim.Program, memm
 func TestDriveRecoverUnwedges(t *testing.T) {
 	for _, delay := range []int{0, 1, 5, 100} {
 		r, prog, flag := recoverableProducer(t)
-		events, err := DriveRecover(r, []RestartPoint{{Victim: 0, Step: 0, Delay: delay}}, prog)
+		ev, err := Drive(r, Plan{Restarts: []RestartPoint{{Victim: 0, Step: 0, Delay: delay}}, Recover: prog})
+		events := ev.Restarts
 		if err != nil {
-			t.Fatalf("delay=%d: DriveRecover: %v", delay, err)
+			t.Fatalf("delay=%d: Drive: %v", delay, err)
 		}
 		if len(events) != 1 || !events[0].Crashed || !events[0].Restarted {
 			t.Fatalf("delay=%d: events = %+v", delay, events)
@@ -124,7 +125,8 @@ func TestDriveRecoverExhaustive(t *testing.T) {
 	for k := 0; k <= total; k++ {
 		for _, delay := range []int{0, 2} {
 			r, prog, flag := recoverableProducer(t)
-			events, err := DriveRecover(r, []RestartPoint{{Victim: 0, Step: k, Delay: delay}}, prog)
+			ev, err := Drive(r, Plan{Restarts: []RestartPoint{{Victim: 0, Step: k, Delay: delay}}, Recover: prog})
+			events := ev.Restarts
 			if err != nil {
 				t.Fatalf("k=%d delay=%d: %v", k, delay, err)
 			}
@@ -148,9 +150,10 @@ func TestDriveRecoverRecrash(t *testing.T) {
 		{Victim: 0, Step: 0, Delay: 0},
 		{Victim: 0, Step: 1, Delay: 0}, // lands in incarnation 1's recovery
 	}
-	events, err := DriveRecover(r, pts, prog)
+	ev, err := Drive(r, Plan{Restarts: pts, Recover: prog})
+	events := ev.Restarts
 	if err != nil {
-		t.Fatalf("DriveRecover: %v", err)
+		t.Fatalf("Drive: %v", err)
 	}
 	if !events[0].Crashed || !events[1].Crashed {
 		t.Fatalf("events = %+v, want both crashes applied", events)
@@ -174,17 +177,18 @@ func TestDriveRecoverRecrash(t *testing.T) {
 func TestDriveRecoverMootPoint(t *testing.T) {
 	r, prog, _ := recoverableProducer(t)
 	defer r.Close()
-	events, err := DriveRecover(r, []RestartPoint{{Victim: 1, Step: 1 << 20, Delay: 0}}, prog)
+	ev, err := Drive(r, Plan{Restarts: []RestartPoint{{Victim: 1, Step: 1 << 20, Delay: 0}}, Recover: prog})
+	events := ev.Restarts
 	if err != nil {
-		t.Fatalf("DriveRecover: %v", err)
+		t.Fatalf("Drive: %v", err)
 	}
 	if events[0].Crashed || events[0].Restarted {
 		t.Errorf("moot point applied: %+v", events[0])
 	}
 }
 
-// TestDriveRecoverStagedBarrier: DriveRecover releases barrier stages like
-// Drive does.
+// TestDriveRecoverStagedBarrier: a plan with no points releases barrier
+// stages, as a crash-only plan does.
 func TestDriveRecoverStagedBarrier(t *testing.T) {
 	r := sim.New(sim.Config{})
 	flag := r.Alloc("flag", 0)
@@ -199,10 +203,28 @@ func TestDriveRecoverStagedBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := DriveRecover(r, nil, nil); err != nil {
-		t.Fatalf("DriveRecover: %v", err)
+	if _, err := Drive(r, Plan{}); err != nil {
+		t.Fatalf("Drive: %v", err)
 	}
 	if !r.Terminated() {
 		t.Error("staged execution did not terminate")
+	}
+}
+
+// TestDriveRejectsRestartsWithoutRecover: a plan that schedules restarts
+// but gives no recovery program is refused before the first step, rather
+// than panicking on the nil program when the first restart comes due.
+func TestDriveRejectsRestartsWithoutRecover(t *testing.T) {
+	r, _, _ := recoverableProducer(t)
+	defer r.Close()
+	_, err := Drive(r, Plan{Restarts: []RestartPoint{{Victim: 0, Step: 0, Delay: 0}}})
+	if err == nil {
+		t.Fatal("Drive accepted restart points with a nil Recover")
+	}
+	if got := r.StepCount(); got != 0 {
+		t.Errorf("StepCount = %d after the refused plan, want 0", got)
+	}
+	if got := r.Crashed(); len(got) != 0 {
+		t.Errorf("Crashed = %v after the refused plan, want none", got)
 	}
 }

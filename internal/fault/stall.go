@@ -3,10 +3,8 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/memmodel"
-	"repro/internal/sim"
 )
 
 // Forever is the StallPoint duration of an indefinite stall: the victim
@@ -53,79 +51,6 @@ type StallEvent struct {
 	// StallSection is the passage section the victim occupied when it
 	// stalled.
 	StallSection memmodel.Section
-}
-
-// DriveStall steps r until termination, pausing each point's victim at its
-// step boundary. Points whose victim already finished, crashed, or is
-// still stalled when they fire are skipped. It returns one StallEvent per
-// point in firing order (sorted by Step, ties in input order), plus the
-// runner's terminal error: nil when every process completes (finite stalls
-// only delay), and a *sim.NoProgressError when an indefinite stall is
-// still pending at the end — callers classify that error via its
-// Stuck/Stalled fields: empty Stuck means every survivor completed and
-// only stalled victims remain (the benign outcome), while a non-empty
-// Stuck lists the survivors doomed by the stall. Barrier-parked processes
-// are released all at once, as in Drive.
-func DriveStall(r *sim.Runner, points []StallPoint) ([]StallEvent, error) {
-	return DriveMixed(r, nil, points)
-}
-
-// DriveMixed steps r until termination, applying crash-stop points and
-// fail-slow points together — the combined fault model in which some peers
-// die and others merely go slow. Crash points due at the same boundary as
-// stall points are applied first (a crash supersedes a stall). Error
-// semantics match DriveStall.
-func DriveMixed(r *sim.Runner, crashes []Point, stalls []StallPoint) ([]StallEvent, error) {
-	cpts := make([]Point, len(crashes))
-	copy(cpts, crashes)
-	sort.SliceStable(cpts, func(i, j int) bool { return cpts[i].Step < cpts[j].Step })
-	spts := make([]StallPoint, len(stalls))
-	copy(spts, stalls)
-	sort.SliceStable(spts, func(i, j int) bool { return spts[i].Step < spts[j].Step })
-	events := make([]StallEvent, len(spts))
-	for i := range spts {
-		events[i].Point = spts[i]
-	}
-
-	nextCrash, nextStall := 0, 0
-	for {
-		for nextCrash < len(cpts) && cpts[nextCrash].Step <= r.StepCount() {
-			p := cpts[nextCrash]
-			nextCrash++
-			if !r.Alive(p.Victim) {
-				continue
-			}
-			if err := r.Crash(p.Victim); err != nil {
-				return events, fmt.Errorf("fault: %s: %w", p, err)
-			}
-		}
-		for nextStall < len(spts) && spts[nextStall].Step <= r.StepCount() {
-			p := spts[nextStall]
-			i := nextStall
-			nextStall++
-			if !r.Alive(p.Victim) || r.IsStalled(p.Victim) {
-				continue
-			}
-			events[i].Stalled = true
-			events[i].StallStep = r.StepCount()
-			events[i].StallSection = r.Account(p.Victim).Section()
-			if err := r.Stall(p.Victim, p.Duration); err != nil {
-				return events, fmt.Errorf("fault: %s: %w", p, err)
-			}
-		}
-		progressed, err := r.Step()
-		if err != nil {
-			return events, err
-		}
-		if !progressed {
-			if r.Terminated() {
-				return events, nil
-			}
-			if err := releaseBarriers(r); err != nil {
-				return events, err
-			}
-		}
-	}
 }
 
 // ExhaustiveStallPoints enumerates every stall point for victim in an

@@ -13,7 +13,8 @@ import (
 func TestDriveStallFiniteCompletes(t *testing.T) {
 	r, flag := producerConsumer(t)
 	defer r.Close()
-	events, err := DriveStall(r, []StallPoint{{Victim: 0, Step: 0, Duration: 7}})
+	ev, err := Drive(r, Plan{Stalls: []StallPoint{{Victim: 0, Step: 0, Duration: 7}}})
+	events := ev.Stalls
 	if err != nil {
 		t.Fatalf("finite stall wedged: %v", err)
 	}
@@ -36,7 +37,7 @@ func TestDriveStallFiniteCompletes(t *testing.T) {
 func TestDriveStallIndefiniteWedges(t *testing.T) {
 	r, _ := producerConsumer(t)
 	defer r.Close()
-	_, err := DriveStall(r, []StallPoint{{Victim: 0, Step: 0, Duration: Forever}})
+	_, err := Drive(r, Plan{Stalls: []StallPoint{{Victim: 0, Step: 0, Duration: Forever}}})
 	var np *sim.NoProgressError
 	if !errors.As(err, &np) {
 		t.Fatalf("err = %v, want *sim.NoProgressError", err)
@@ -54,11 +55,12 @@ func TestDriveStallIndefiniteWedges(t *testing.T) {
 func TestDriveStallSkipsMootPoints(t *testing.T) {
 	r, _ := producerConsumer(t)
 	defer r.Close()
-	events, err := DriveStall(r, []StallPoint{
+	ev, err := Drive(r, Plan{Stalls: []StallPoint{
 		{Victim: 0, Step: 0, Duration: 3},
 		{Victim: 0, Step: 1, Duration: 5},     // victim still stalled: moot
 		{Victim: 0, Step: 1_000, Duration: 1}, // due only after termination: moot
-	})
+	}})
+	events := ev.Stalls
 	if err != nil {
 		t.Fatalf("drive: %v", err)
 	}
@@ -79,9 +81,10 @@ func TestDriveStallSkipsMootPoints(t *testing.T) {
 func TestDriveMixedCrashSupersedesStall(t *testing.T) {
 	r, _ := producerConsumer(t)
 	defer r.Close()
-	events, err := DriveMixed(r,
-		[]Point{{Victim: 0, Step: 0}},
-		[]StallPoint{{Victim: 0, Step: 0, Duration: Forever}})
+	ev, err := Drive(r, Plan{
+		Crashes: []Point{{Victim: 0, Step: 0}},
+		Stalls:  []StallPoint{{Victim: 0, Step: 0, Duration: Forever}}})
+	events := ev.Stalls
 	var np *sim.NoProgressError
 	if !errors.As(err, &np) {
 		t.Fatalf("err = %v, want *sim.NoProgressError", err)
@@ -116,7 +119,8 @@ func TestDriveStallRecordsSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	events, err := DriveStall(r, []StallPoint{{Victim: 0, Step: 1, Duration: 2}})
+	ev, err := Drive(r, Plan{Stalls: []StallPoint{{Victim: 0, Step: 1, Duration: 2}}})
+	events := ev.Stalls
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,6 +164,12 @@ type Runner struct {
 
 // New returns a Runner with the given configuration.
 func New(cfg Config) *Runner {
+	return &Runner{cfg: cfg.withDefaults(), quit: make(chan struct{})}
+}
+
+// withDefaults fills cfg's zero-valued fields: write-through, round-robin,
+// a 5,000,000-step budget.
+func (cfg Config) withDefaults() Config {
 	if cfg.Protocol == 0 {
 		cfg.Protocol = WriteThrough
 	}
@@ -173,7 +179,7 @@ func New(cfg Config) *Runner {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 5_000_000
 	}
-	return &Runner{cfg: cfg, quit: make(chan struct{})}
+	return cfg
 }
 
 // Alloc implements memmodel.Allocator. The variable is homed in global
@@ -331,16 +337,7 @@ func (r *Runner) Close() {
 // single driver goroutine.
 func (r *Runner) Reset(cfg Config) {
 	r.Close()
-	if cfg.Protocol == 0 {
-		cfg.Protocol = WriteThrough
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = sched.NewRoundRobin()
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 5_000_000
-	}
-	r.cfg = cfg
+	r.cfg = cfg.withDefaults()
 	r.mem = r.mem[:0]
 	r.names = r.names[:0]
 	r.homes = r.homes[:0]
@@ -443,8 +440,8 @@ func (r *Runner) Crash(id int) error {
 // A pending restart is progress potential: after Step returns a
 // *NoProgressError (the watchdog's wedge verdict), the runner remains
 // usable — a driver holding a scheduled restart applies it and resumes
-// stepping, which is how fault.DriveRecover turns crash-stop wedges into
-// recovery opportunities.
+// stepping, which is how fault.Drive turns crash-stop wedges into recovery
+// opportunities when its plan schedules restarts.
 func (r *Runner) Restart(id int, prog Program) error {
 	if !r.started {
 		return errors.New("sim: Restart before Start")
@@ -607,18 +604,7 @@ func (r *Runner) Poised() []sched.PendingOp {
 		if ps.status != statusPoised || ps.stalled {
 			continue
 		}
-		op := sched.PendingOp{
-			Proc:        ps.id,
-			Kind:        ps.pending.kind,
-			Var:         ps.pending.v,
-			Arg:         ps.pending.arg,
-			CASExpected: ps.pending.exp,
-		}
-		if ps.pending.mpred != nil {
-			op.Var = ps.pending.vars[0]
-			op.Vars = ps.pending.vars
-		}
-		r.poisedOps = append(r.poisedOps, op)
+		r.poisedOps = append(r.poisedOps, ps.pendingOp())
 	}
 	return r.poisedOps
 }
@@ -630,6 +616,12 @@ func (r *Runner) PendingOf(id int) (sched.PendingOp, bool) {
 	if ps.status != statusPoised || ps.stalled {
 		return sched.PendingOp{}, false
 	}
+	return ps.pendingOp(), true
+}
+
+// pendingOp renders ps's pending operation for the scheduler. A
+// multi-variable await reports its first variable as Var.
+func (ps *procState) pendingOp() sched.PendingOp {
 	op := sched.PendingOp{
 		Proc:        ps.id,
 		Kind:        ps.pending.kind,
@@ -641,7 +633,7 @@ func (r *Runner) PendingOf(id int) (sched.PendingOp, bool) {
 		op.Var = ps.pending.vars[0]
 		op.Vars = ps.pending.vars
 	}
-	return op, true
+	return op
 }
 
 // Awaiting returns the ids of processes currently parked on an await (not

@@ -79,34 +79,43 @@ func runCrashOn(c *runnerCache, alg memmodel.Algorithm, sc Scenario, pt fault.Po
 		VictimIsWriter: pt.Victim >= sc.NReaders,
 		CrashSection:   memmodel.SecRemainder,
 	}
-	mon := newCSMonitor(sc.NReaders)
-	r, err := buildRunner(c, alg, sc, mon)
+	r, x, err := buildRunner(c, alg, sc, nil)
 	if err != nil {
 		out.Err = err
 		return out
 	}
 
-	err = fault.Drive(r, []fault.Point{pt})
+	_, err = fault.Drive(r, fault.Plan{Crashes: []fault.Point{pt}})
 	out.Crashed = len(r.Crashed()) > 0
 	if pt.Victim >= 0 && pt.Victim < sc.NReaders+sc.NWriters {
 		// A finished victim has transitioned back to SecRemainder, so the
 		// account's last section is the crash section in both cases.
 		out.CrashSection = r.Account(pt.Victim).Section()
 	}
-	out.MEViolations = mon.violations
+	out.MEViolations = x.mon.violations
 
 	var np *sim.NoProgressError
+	np, out.BudgetExceeded, out.Err = terminal(err)
+	if np != nil {
+		out.Hung = true
+		out.Stuck = np.Stuck
+	}
+	return out
+}
+
+// terminal classifies a fault-driven run's terminal error: the watchdog's
+// wedge verdict (np), a step-budget hit, or any other error (other). All
+// three are zero for a run that terminated.
+func terminal(err error) (np *sim.NoProgressError, budget bool, other error) {
 	switch {
 	case err == nil:
 	case errors.As(err, &np):
-		out.Hung = true
-		out.Stuck = np.Stuck
 	case errors.Is(err, sim.ErrMaxSteps):
-		out.BudgetExceeded = true
+		budget = true
 	default:
-		out.Err = err
+		other = err
 	}
-	return out
+	return np, budget, other
 }
 
 // CrashSweep runs the scenario once crash-free to learn its length, then

@@ -10,7 +10,6 @@
 package spec
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/fault"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/parwork"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // RecoverOutcome is the result of one crash-recovery execution.
@@ -120,74 +118,8 @@ func RunCrashRecover(alg memmodel.RecoverableAlgorithm, sc Scenario, pts []fault
 func runCrashRecoverOn(c *runnerCache, alg memmodel.RecoverableAlgorithm, sc Scenario, pts []fault.RestartPoint) *RecoverOutcome {
 	sc.defaults()
 	out := &RecoverOutcome{Algorithm: alg.Name(), Scenario: sc, Points: pts}
-	mon := newCSMonitor(sc.NReaders)
-	observe := mon.observe
-	if sc.Observer != nil {
-		user := sc.Observer
-		observe = func(e trace.Event) {
-			mon.observe(e)
-			user(e)
-		}
-	}
-	r := c.get(sim.Config{
-		Protocol:  sc.Protocol,
-		Scheduler: sc.Scheduler,
-		MaxSteps:  sc.MaxSteps,
-		Observer:  observe,
-	})
-
-	if err := alg.Init(r, sc.NReaders, sc.NWriters); err != nil {
-		out.Err = fmt.Errorf("init: %w", err)
-		return out
-	}
-	scratch := r.Alloc("spec.scratch", 0)
-
-	total := sc.NReaders + sc.NWriters
-	counts := make([]int, total)
-	quota := func(pid int) int {
-		if pid < sc.NReaders {
-			return sc.ReaderPassages
-		}
-		return sc.WriterPassages
-	}
-	enter := func(p sim.Proc, pid int) {
-		if pid < sc.NReaders {
-			alg.ReaderEnter(p, pid)
-		} else {
-			alg.WriterEnter(p, pid-sc.NReaders)
-		}
-	}
-	exit := func(p sim.Proc, pid int) {
-		if pid < sc.NReaders {
-			alg.ReaderExit(p, pid)
-		} else {
-			alg.WriterExit(p, pid-sc.NReaders)
-		}
-	}
-	csBody := func(p sim.Proc) {
-		for k := 0; k < sc.CSReads; k++ {
-			p.Read(scratch)
-		}
-	}
-	passage := func(p sim.Proc, pid int) {
-		p.Section(memmodel.SecEntry)
-		enter(p, pid)
-		p.Section(memmodel.SecCS)
-		csBody(p)
-		p.Section(memmodel.SecExit)
-		exit(p, pid)
-		p.Section(memmodel.SecRemainder)
-		counts[pid]++
-	}
-	for pid := 0; pid < total; pid++ {
-		pid := pid
-		r.AddProc(func(p sim.Proc) {
-			for counts[pid] < quota(pid) {
-				passage(p, pid)
-			}
-		})
-	}
-	if err := r.Start(); err != nil {
+	r, x, err := buildRunner(c, alg, sc, nil)
+	if err != nil {
 		out.Err = err
 		return out
 	}
@@ -208,27 +140,22 @@ func runCrashRecoverOn(c *runnerCache, alg memmodel.RecoverableAlgorithm, sc Sce
 			out.Recoveries = append(out.Recoveries, rec)
 			switch rec {
 			case memmodel.RecoverCS:
-				p.Section(memmodel.SecCS)
-				csBody(p)
-				p.Section(memmodel.SecExit)
-				exit(p, victim)
-				p.Section(memmodel.SecRemainder)
-				counts[victim]++
+				x.finish(p, victim)
 			case memmodel.RecoverDone:
 				p.Section(memmodel.SecRemainder)
-				counts[victim]++
+				x.counts[victim]++
 			case memmodel.RecoverAbort:
 				p.Section(memmodel.SecRemainder)
 			}
-			for counts[victim] < quota(victim) {
-				passage(p, victim)
+			for x.counts[victim] < x.quota(victim) {
+				x.passage(p, victim)
 			}
 		}
 	}
 
-	events, err := fault.DriveRecover(r, pts, recoveryProg)
-	out.Events = events
-	for _, e := range events {
+	ev, err := fault.Drive(r, fault.Plan{Restarts: pts, Recover: recoveryProg})
+	out.Events = ev.Restarts
+	for _, e := range out.Events {
 		if e.Crashed {
 			out.Crashes++
 		}
@@ -237,29 +164,20 @@ func runCrashRecoverOn(c *runnerCache, alg memmodel.RecoverableAlgorithm, sc Sce
 		}
 	}
 	out.Steps = r.StepCount()
-	out.MEViolations = mon.violations
+	out.MEViolations = x.mon.violations
 
 	var np *sim.NoProgressError
-	switch {
-	case err == nil:
-	case errors.As(err, &np):
+	np, out.BudgetExceeded, out.Err = terminal(err)
+	if np != nil {
 		out.Hung = true
 		out.Stuck = np.Stuck
-	case errors.Is(err, sim.ErrMaxSteps):
-		out.BudgetExceeded = true
-	default:
-		out.Err = err
 	}
 
-	for pid := 0; pid < total; pid++ {
-		if counts[pid] != quota(pid) {
-			class, id := "reader r", pid
-			if pid >= sc.NReaders {
-				class, id = "writer w", pid-sc.NReaders
-			}
+	for pid, n := range x.counts {
+		if n != x.quota(pid) {
 			out.Incomplete = append(out.Incomplete, fmt.Sprintf(
-				"%s%d completed %d/%d passages across %d incarnation(s)",
-				class, id, counts[pid], quota(pid), r.Incarnation(pid)+1))
+				"%s completed %d/%d passages across %d incarnation(s)",
+				x.name(pid), n, x.quota(pid), r.Incarnation(pid)+1))
 		}
 		for _, acct := range r.AccountsOf(pid) {
 			out.RecoveryRMR += acct.SectionRMR[memmodel.SecRecover]

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/recoverable"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 func newRCentralized() memmodel.RecoverableAlgorithm { return recoverable.NewCentralized() }
@@ -43,6 +46,58 @@ func TestRunCrashRecoverNoPoints(t *testing.T) {
 	if out.RecoveryRMR != 0 || out.RecoverySteps != 0 {
 		t.Errorf("crash-free run billed recovery cost: %d RMR, %d steps",
 			out.RecoveryRMR, out.RecoverySteps)
+	}
+}
+
+// TestRunCrashRecoverMatchesRun: with no restart points, the recovery
+// harness is the plain harness. Recovery sweeps take their reference run
+// from RunCrashRecover and crash sweeps from Run, so the two must execute
+// the same trace step for step, with the same per-process passage counts
+// and RMR totals.
+func TestRunCrashRecoverMatchesRun(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		newAlg func() memmodel.RecoverableAlgorithm
+	}{{"r-centralized", newRCentralized}, {"r-af", newRAF}} {
+		for _, sc := range []Scenario{recoverScenario(2, 1), recoverScenario(3, 2)} {
+			for _, seed := range []int64{-1, 1, 7} {
+				mk := func(events *[]trace.Event) Scenario {
+					run := sc
+					run.Scheduler = sched.NewRoundRobin()
+					if seed >= 0 {
+						run.Scheduler = sched.NewRandom(seed)
+					}
+					run.Observer = func(e trace.Event) { *events = append(*events, e) }
+					return run
+				}
+				name := fmt.Sprintf("%s n=%d m=%d seed=%d", tc.name, sc.NReaders, sc.NWriters, seed)
+				var plainTrace, recTrace []trace.Event
+				rep := Run(tc.newAlg(), mk(&plainTrace))
+				if !rep.OK() {
+					t.Fatalf("%s: Run: %s", name, rep.Failures())
+				}
+				var c runnerCache
+				out := runCrashRecoverOn(&c, tc.newAlg(), mk(&recTrace), nil)
+				if !out.OK() {
+					c.close()
+					t.Fatalf("%s: RunCrashRecover: %s", name, out.Failures())
+				}
+				if out.Steps != rep.Steps {
+					t.Errorf("%s: %d steps, Run took %d", name, out.Steps, rep.Steps)
+				}
+				if !reflect.DeepEqual(recTrace, plainTrace) {
+					t.Errorf("%s: traces differ (%d vs %d events)", name, len(recTrace), len(plainTrace))
+				}
+				for pid, want := range append(rep.ReaderAccounts, rep.WriterAccounts...) {
+					got := c.r.Account(pid)
+					if len(got.Passages) != len(want.Passages) || got.TotalRMR != want.TotalRMR {
+						t.Errorf("%s: p%d has %d passages and %d RMRs, Run has %d and %d", name, pid,
+							len(got.Passages), got.TotalRMR, len(want.Passages), want.TotalRMR)
+					}
+				}
+				c.close()
+			}
+		}
 	}
 }
 

@@ -209,17 +209,39 @@ func (c *runnerCache) close() {
 	}
 }
 
+// execution is the state behind one scenario run's passage programs: the
+// mutual-exclusion monitor, and the passage counts. Passages are counted
+// per process id, not per incarnation, so a restarted incarnation
+// (runCrashRecoverOn) finishes exactly the passages its dead predecessors
+// did not.
+type execution struct {
+	mon     *csMonitor
+	alg     memmodel.Algorithm
+	sc      Scenario
+	scratch memmodel.Var
+	// counts[pid] is the number of passages pid has completed.
+	counts []int
+}
+
 // buildRunner wires alg and the scenario's passage-driving programs into a
-// started runner drawn from c, with mon installed as the mutual-exclusion
-// monitor. The cache owns Close; a runner is never closed between cached
-// executions (Reset does it).
-func buildRunner(c *runnerCache, alg memmodel.Algorithm, sc Scenario, mon *csMonitor) (*sim.Runner, error) {
+// started runner drawn from c, and returns it with the programs' state. It
+// is the one place a scenario's programs are built. A fresh
+// mutual-exclusion monitor, then also (if non-nil), then the scenario's
+// Observer receive every trace event. The cache owns Close; a runner is
+// never closed between cached executions (Reset does it).
+func buildRunner(c *runnerCache, alg memmodel.Algorithm, sc Scenario, also func(trace.Event)) (*sim.Runner, *execution, error) {
+	mon := newCSMonitor(sc.NReaders)
 	observe := mon.observe
-	if sc.Observer != nil {
+	if also != nil || sc.Observer != nil {
 		user := sc.Observer
 		observe = func(e trace.Event) {
 			mon.observe(e)
-			user(e)
+			if also != nil {
+				also(e)
+			}
+			if user != nil {
+				user(e)
+			}
 		}
 	}
 	r := c.get(sim.Config{
@@ -230,47 +252,65 @@ func buildRunner(c *runnerCache, alg memmodel.Algorithm, sc Scenario, mon *csMon
 	})
 
 	if err := alg.Init(r, sc.NReaders, sc.NWriters); err != nil {
-		return nil, fmt.Errorf("init: %w", err)
+		return nil, nil, fmt.Errorf("init: %w", err)
 	}
-	scratch := r.Alloc("spec.scratch", 0)
-
-	for rid := 0; rid < sc.NReaders; rid++ {
-		rid := rid
+	x := &execution{mon: mon, alg: alg, sc: sc, scratch: r.Alloc("spec.scratch", 0),
+		counts: make([]int, sc.NReaders+sc.NWriters)}
+	for pid := range x.counts {
 		r.AddProc(func(p sim.Proc) {
-			for i := 0; i < sc.ReaderPassages; i++ {
-				p.Section(memmodel.SecEntry)
-				alg.ReaderEnter(p, rid)
-				p.Section(memmodel.SecCS)
-				for k := 0; k < sc.CSReads; k++ {
-					p.Read(scratch)
-				}
-				p.Section(memmodel.SecExit)
-				alg.ReaderExit(p, rid)
-				p.Section(memmodel.SecRemainder)
+			for x.counts[pid] < x.quota(pid) {
+				x.passage(p, pid)
 			}
 		})
 	}
-	for wid := 0; wid < sc.NWriters; wid++ {
-		wid := wid
-		r.AddProc(func(p sim.Proc) {
-			for i := 0; i < sc.WriterPassages; i++ {
-				p.Section(memmodel.SecEntry)
-				alg.WriterEnter(p, wid)
-				p.Section(memmodel.SecCS)
-				for k := 0; k < sc.CSReads; k++ {
-					p.Read(scratch)
-				}
-				p.Section(memmodel.SecExit)
-				alg.WriterExit(p, wid)
-				p.Section(memmodel.SecRemainder)
-			}
-		})
-	}
-
 	if err := r.Start(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return r, nil
+	return r, x, nil
+}
+
+// quota is pid's passage count under the scenario.
+func (x *execution) quota(pid int) int {
+	if pid < x.sc.NReaders {
+		return x.sc.ReaderPassages
+	}
+	return x.sc.WriterPassages
+}
+
+// name renders pid under the spec numbering: "reader r0", "writer w0".
+func (x *execution) name(pid int) string {
+	if pid < x.sc.NReaders {
+		return fmt.Sprintf("reader r%d", pid)
+	}
+	return fmt.Sprintf("writer w%d", pid-x.sc.NReaders)
+}
+
+// passage runs one full passage of pid: entry, critical section, exit.
+func (x *execution) passage(p sim.Proc, pid int) {
+	p.Section(memmodel.SecEntry)
+	if pid < x.sc.NReaders {
+		x.alg.ReaderEnter(p, pid)
+	} else {
+		x.alg.WriterEnter(p, pid-x.sc.NReaders)
+	}
+	x.finish(p, pid)
+}
+
+// finish runs pid's critical section and exit section, and counts the
+// completed passage.
+func (x *execution) finish(p sim.Proc, pid int) {
+	p.Section(memmodel.SecCS)
+	for k := 0; k < x.sc.CSReads; k++ {
+		p.Read(x.scratch)
+	}
+	p.Section(memmodel.SecExit)
+	if pid < x.sc.NReaders {
+		x.alg.ReaderExit(p, pid)
+	} else {
+		x.alg.WriterExit(p, pid-x.sc.NReaders)
+	}
+	p.Section(memmodel.SecRemainder)
+	x.counts[pid]++
 }
 
 // Run executes the scenario against alg and returns the report. The
@@ -285,39 +325,34 @@ func Run(alg memmodel.Algorithm, sc Scenario) *Report {
 func runOn(c *runnerCache, alg memmodel.Algorithm, sc Scenario) *Report {
 	sc.defaults()
 	rep := &Report{Algorithm: alg.Name(), Scenario: sc}
-	mon := newCSMonitor(sc.NReaders)
 
-	r, err := buildRunner(c, alg, sc, mon)
+	r, x, err := buildRunner(c, alg, sc, nil)
 	if err != nil {
 		rep.Err = err
 		return rep
 	}
 	rep.Err = r.Run()
 	rep.Steps = r.StepCount()
-	rep.Violations = mon.violations
-	rep.MaxConcurrentReaders = mon.maxReaders
+	rep.Violations = x.mon.violations
+	rep.MaxConcurrentReaders = x.mon.maxReaders
 	rep.VarNames = make([]string, r.NumVars())
 	for v := range rep.VarNames {
 		rep.VarNames[v] = r.VarName(memmodel.Var(v))
 	}
 
-	for rid := 0; rid < sc.NReaders; rid++ {
-		acct := r.Account(rid)
-		rep.ReaderAccounts = append(rep.ReaderAccounts, acct)
-		if rep.Err == nil && len(acct.Passages) != sc.ReaderPassages {
+	for pid := range x.counts {
+		acct := r.Account(pid)
+		if rep.Err == nil && len(acct.Passages) != x.quota(pid) {
 			rep.Violations = append(rep.Violations, fmt.Sprintf(
-				"reader r%d completed %d/%d passages", rid, len(acct.Passages), sc.ReaderPassages))
+				"%s completed %d/%d passages", x.name(pid), len(acct.Passages), x.quota(pid)))
 		}
-		rep.MaxReaderPassage = maxPassage(rep.MaxReaderPassage, acct.MaxPassage())
-	}
-	for wid := 0; wid < sc.NWriters; wid++ {
-		acct := r.Account(sc.NReaders + wid)
-		rep.WriterAccounts = append(rep.WriterAccounts, acct)
-		if rep.Err == nil && len(acct.Passages) != sc.WriterPassages {
-			rep.Violations = append(rep.Violations, fmt.Sprintf(
-				"writer w%d completed %d/%d passages", wid, len(acct.Passages), sc.WriterPassages))
+		if pid < sc.NReaders {
+			rep.ReaderAccounts = append(rep.ReaderAccounts, acct)
+			rep.MaxReaderPassage = maxPassage(rep.MaxReaderPassage, acct.MaxPassage())
+		} else {
+			rep.WriterAccounts = append(rep.WriterAccounts, acct)
+			rep.MaxWriterPassage = maxPassage(rep.MaxWriterPassage, acct.MaxPassage())
 		}
-		rep.MaxWriterPassage = maxPassage(rep.MaxWriterPassage, acct.MaxPassage())
 	}
 	return rep
 }

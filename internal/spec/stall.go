@@ -17,7 +17,6 @@
 package spec
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/fairness"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/parwork"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // StallOutcome is the result of one execution with injected stalls (and,
@@ -89,21 +87,16 @@ func (o StallOutcome) Doomed() bool { return len(o.DoomedProcs) > 0 }
 // RunStall executes the scenario against a fresh alg, stalling pt.Victim
 // at step boundary pt.Step for pt.Duration, and classifies the outcome.
 func RunStall(alg memmodel.Algorithm, sc Scenario, pt fault.StallPoint) StallOutcome {
-	return RunMixed(alg, sc, nil, pt)
-}
-
-// RunMixed executes the scenario under the combined fault model: the crash
-// points crash-stop their victims while pt stalls its own. Crash victims
-// count as victims for SurvivorsDone (a crash-stopped process never
-// completes its quota, which is the crash model's expected outcome, not a
-// liveness defect of the survivors).
-func RunMixed(alg memmodel.Algorithm, sc Scenario, crashes []fault.Point, pt fault.StallPoint) StallOutcome {
 	var c runnerCache
 	defer c.close()
-	return runMixedOn(&c, alg, sc, crashes, pt)
+	return runMixedOn(&c, alg, sc, nil, pt)
 }
 
-// runMixedOn is RunMixed on a cached runner.
+// runMixedOn executes the scenario on a cached runner under the combined
+// fault model: the crash points crash-stop their victims while pt stalls
+// its own. Crash victims count as victims for SurvivorsDone (a
+// crash-stopped process never completes its quota, which is the crash
+// model's expected outcome, not a liveness defect of the survivors).
 func runMixedOn(c *runnerCache, alg memmodel.Algorithm, sc Scenario, crashes []fault.Point, pt fault.StallPoint) StallOutcome {
 	sc.defaults()
 	out := StallOutcome{
@@ -114,27 +107,19 @@ func runMixedOn(c *runnerCache, alg memmodel.Algorithm, sc Scenario, crashes []f
 		StallSection:   memmodel.SecRemainder,
 	}
 	nProcs := sc.NReaders + sc.NWriters
-	mon := newCSMonitor(sc.NReaders)
 	byp := fairness.NewBypassMonitor(nProcs, sc.NReaders)
-	userObs := sc.Observer
-	sc.Observer = func(e trace.Event) {
-		byp.Observe(e)
-		if userObs != nil {
-			userObs(e)
-		}
-	}
-	r, err := buildRunner(c, alg, sc, mon)
+	r, x, err := buildRunner(c, alg, sc, byp.Observe)
 	if err != nil {
 		out.Err = err
 		return out
 	}
 
-	events, err := fault.DriveMixed(r, crashes, []fault.StallPoint{pt})
-	if len(events) == 1 && events[0].Stalled {
+	ev, err := fault.Drive(r, fault.Plan{Crashes: crashes, Stalls: []fault.StallPoint{pt}})
+	if len(ev.Stalls) == 1 && ev.Stalls[0].Stalled {
 		out.Stalled = true
-		out.StallSection = events[0].StallSection
+		out.StallSection = ev.Stalls[0].StallSection
 	}
-	out.MEViolations = mon.violations
+	out.MEViolations = x.mon.violations
 	out.BypassByProc = make([]int, nProcs)
 	for id := 0; id < nProcs; id++ {
 		out.BypassByProc[id] = byp.MaxBypass(id)
@@ -146,44 +131,35 @@ func runMixedOn(c *runnerCache, alg memmodel.Algorithm, sc Scenario, crashes []f
 	for _, c := range crashes {
 		victims[c.Victim] = true
 	}
-	quota := func(id int) int {
-		if id < sc.NReaders {
-			return sc.ReaderPassages
-		}
-		return sc.WriterPassages
-	}
-	allDone, survDone := true, true
+	// Clean termination means every process is done or crashed, so the
+	// only legitimately incomplete processes are crash victims; shortAlive
+	// is the first alive-but-incomplete one, a harness invariant breach.
+	allDone, survDone, shortAlive := true, true, -1
 	for id := 0; id < nProcs; id++ {
-		if len(r.Account(id).Passages) >= quota(id) {
+		if len(r.Account(id).Passages) >= x.quota(id) {
 			continue
 		}
 		allDone = false
 		if !victims[id] {
 			survDone = false
 		}
+		if shortAlive < 0 && r.Alive(id) {
+			shortAlive = id
+		}
 	}
 	out.SurvivorsDone = survDone
 
-	var np *sim.NoProgressError
+	np, budget, other := terminal(err)
 	switch {
+	case err == nil && shortAlive >= 0:
+		out.Err = fmt.Errorf("spec: %s terminated with p%d alive but short of its passage quota", pt, shortAlive)
 	case err == nil:
 		out.Completed = allDone
-		// Clean termination means every process is done or crashed, so the
-		// only legitimately incomplete processes are crash victims. An
-		// alive-but-incomplete one is a harness invariant breach.
-		for id := 0; id < nProcs; id++ {
-			if len(r.Account(id).Passages) < quota(id) && r.Alive(id) {
-				out.Err = fmt.Errorf("spec: %s terminated with p%d alive but short of its passage quota", pt, id)
-				break
-			}
-		}
-	case errors.As(err, &np):
+	case np != nil:
 		out.DoomedProcs = np.Stuck
 		out.Misclassified = classifyWedge(np, out, r)
-	case errors.Is(err, sim.ErrMaxSteps):
-		out.BudgetExceeded = true
 	default:
-		out.Err = err
+		out.BudgetExceeded, out.Err = budget, other
 	}
 	return out
 }
