@@ -157,18 +157,10 @@ func TestCourtoisWWriterPreference(t *testing.T) {
 			t.Fatalf("step p%d: %v", id, err)
 		}
 	}
-	atBarrier := func(id int) bool {
-		for _, b := range r.AtBarrier() {
-			if b == id {
-				return true
-			}
-		}
-		return false
-	}
 	drive := func(id int, stopAtBarrier bool) {
 		t.Helper()
 		for i := 0; i < 100_000; i++ {
-			if stopAtBarrier && atBarrier(id) {
+			if stopAtBarrier && r.IsAtBarrier(id) {
 				return
 			}
 			if _, poised := r.PendingOf(id); !poised {
@@ -187,34 +179,34 @@ func TestCourtoisWWriterPreference(t *testing.T) {
 
 	release(0)
 	drive(0, true) // r0 into the CS
-	if !atBarrier(0) {
+	if !r.IsAtBarrier(0) {
 		t.Fatal("r0 not in CS")
 	}
 	release(2)
 	drive(2, true) // writer announces, blocks on the resource lock
-	if atBarrier(2) {
+	if r.IsAtBarrier(2) {
 		t.Fatal("writer entered alongside r0")
 	}
 	release(1)
 	drive(1, true) // r1 must be held at the gate
-	if atBarrier(1) {
+	if r.IsAtBarrier(1) {
 		t.Fatal("writer preference violated: r1 entered after a writer announced")
 	}
 	release(0)
 	drive(0, false) // r0 exits fully
 	drive(2, true)  // writer proceeds into the CS
-	if !atBarrier(2) {
+	if !r.IsAtBarrier(2) {
 		t.Fatal("writer did not enter after the last reader left")
 	}
 	drive(1, true)
-	if atBarrier(1) {
+	if r.IsAtBarrier(1) {
 		t.Fatal("r1 entered while the writer held the CS")
 	}
 	// Writer exits; r1 finally enters and completes.
 	release(2)
 	drive(2, false)
 	drive(1, true)
-	if !atBarrier(1) {
+	if !r.IsAtBarrier(1) {
 		t.Fatal("r1 never entered")
 	}
 	release(1)

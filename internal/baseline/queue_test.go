@@ -145,18 +145,10 @@ func TestQueueRWTaskFair(t *testing.T) {
 			t.Fatalf("step p%d: %v", id, err)
 		}
 	}
-	atBarrier := func(id int) bool {
-		for _, b := range r.AtBarrier() {
-			if b == id {
-				return true
-			}
-		}
-		return false
-	}
 	drive := func(id int) {
 		t.Helper()
 		for i := 0; i < 100_000; i++ {
-			if atBarrier(id) {
+			if r.IsAtBarrier(id) {
 				return
 			}
 			if _, poised := r.PendingOf(id); !poised {
@@ -176,37 +168,37 @@ func TestQueueRWTaskFair(t *testing.T) {
 	// r0 enters the CS (head of chain).
 	release(0)
 	drive(0)
-	if !atBarrier(0) {
+	if !r.IsAtBarrier(0) {
 		t.Fatal("r0 not in CS")
 	}
 	// The writer queues behind r0's batch and parks on S.
 	release(2)
 	drive(2)
-	if atBarrier(2) {
+	if r.IsAtBarrier(2) {
 		t.Fatal("writer entered alongside r0")
 	}
 	// r1 arrives after the writer: it must park on the writer's chain
 	// node, NOT join r0's batch.
 	release(1)
 	drive(1)
-	if atBarrier(1) {
+	if r.IsAtBarrier(1) {
 		t.Fatal("task fairness violated: r1 overtook a queued writer")
 	}
 	// r0 exits -> the writer (not r1) gets in.
 	release(0)
 	drive(0)
 	drive(2)
-	if !atBarrier(2) {
+	if !r.IsAtBarrier(2) {
 		t.Fatal("writer did not enter after the batch drained")
 	}
-	if atBarrier(1) {
+	if r.IsAtBarrier(1) {
 		t.Fatal("r1 entered while the writer held the CS")
 	}
 	// Writer exits -> r1 finally enters.
 	release(2)
 	drive(2)
 	drive(1)
-	if !atBarrier(1) {
+	if !r.IsAtBarrier(1) {
 		t.Fatal("r1 never entered")
 	}
 	release(1)

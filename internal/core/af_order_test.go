@@ -149,15 +149,6 @@ func (st *afStage) stepUntil(id int, what string, cond func() bool) {
 	st.t.Fatalf("p%d: condition %q not reached", id, what)
 }
 
-func (st *afStage) atBarrier(id int) bool {
-	for _, b := range st.r.AtBarrier() {
-		if b == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (st *afStage) isAwaiting(id int) bool {
 	for _, a := range st.r.Awaiting() {
 		if a == id {
@@ -189,7 +180,7 @@ func runStagedSchedule(t *testing.T, cFirst bool) bool {
 	})
 
 	// Phase 2: R0 enters the CS and parks (reads RSIG = PREENTRY).
-	st.stepUntil(stR0, "R0 inside CS", func() bool { return st.atBarrier(stR0) })
+	st.stepUntil(stR0, "R0 inside CS", func() bool { return st.r.IsAtBarrier(stR0) })
 	if !st.inCS(stR0) {
 		t.Fatal("staging: R0 not in CS")
 	}
@@ -229,12 +220,12 @@ func runStagedSchedule(t *testing.T, cFirst bool) bool {
 	// Phase 7: if the writer was signalled it is now poised; drive it as
 	// far as it can go and see whether it reaches its in-CS barrier.
 	for i := 0; i < 10_000; i++ {
-		if st.atBarrier(stW) || st.isAwaiting(stW) {
+		if st.r.IsAtBarrier(stW) || st.isAwaiting(stW) {
 			break
 		}
 		st.step(stW)
 	}
-	return st.atBarrier(stW) && st.inCS(stW) && st.inCS(stR0)
+	return st.r.IsAtBarrier(stW) && st.inCS(stW) && st.inCS(stR0)
 }
 
 // TestHelpWCSPaperOrderUnsafe demonstrates the mutual-exclusion violation

@@ -155,15 +155,6 @@ func (s *staged) release(id int) {
 	}
 }
 
-func (s *staged) atBarrier(id int) bool {
-	for _, b := range s.r.AtBarrier() {
-		if b == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *staged) isAwaiting(id int) bool {
 	for _, a := range s.r.Awaiting() {
 		if a == id {
@@ -207,7 +198,7 @@ func TestWriterNoLongerStarves(t *testing.T) {
 
 	// R0 into the CS.
 	s.release(r0)
-	s.driveUntil(r0, "R0 in CS", func() bool { return s.atBarrier(r0) })
+	s.driveUntil(r0, "R0 in CS", func() bool { return s.r.IsAtBarrier(r0) })
 
 	// Writer announces at the gate and blocks inside the inner entry
 	// (C = 1 from R0).
@@ -232,7 +223,7 @@ func TestWriterNoLongerStarves(t *testing.T) {
 	// the CS while R1 is still gated: writer priority achieved.
 	s.release(r0)
 	s.driveWhilePoised(r0) // R0 runs to completion
-	s.driveUntil(w, "writer in CS", func() bool { return s.atBarrier(w) })
+	s.driveUntil(w, "writer in CS", func() bool { return s.r.IsAtBarrier(w) })
 	if !s.isAwaiting(r1) {
 		t.Fatal("R1 should still be gated while the writer is in the CS")
 	}
@@ -240,7 +231,7 @@ func TestWriterNoLongerStarves(t *testing.T) {
 	// Writer exits, clearing the gate; R1 completes.
 	s.release(w)
 	s.driveWhilePoised(w)
-	s.driveUntil(r1, "R1 in CS", func() bool { return s.atBarrier(r1) })
+	s.driveUntil(r1, "R1 in CS", func() bool { return s.r.IsAtBarrier(r1) })
 	s.release(r1)
 	s.driveWhilePoised(r1)
 	if len(s.r.Account(r1).Passages) != 1 {
@@ -257,7 +248,7 @@ func TestReaderCanStarveUnderWriterChurn(t *testing.T) {
 
 	// W0 announces and enters the CS.
 	s.release(w0)
-	s.driveUntil(w0, "w0 in CS", func() bool { return s.atBarrier(w0) })
+	s.driveUntil(w0, "w0 in CS", func() bool { return s.r.IsAtBarrier(w0) })
 
 	// W1 announces (gate count 2) and queues on the inner WL.
 	s.release(w1)
@@ -279,7 +270,7 @@ func TestReaderCanStarveUnderWriterChurn(t *testing.T) {
 	s.release(w0)
 	s.driveWhilePoised(w0)
 	s.driveWhilePoised(rd) // gate re-check: still closed
-	s.driveUntil(w1, "w1 in CS", func() bool { return s.atBarrier(w1) })
+	s.driveUntil(w1, "w1 in CS", func() bool { return s.r.IsAtBarrier(w1) })
 	s.driveWhilePoised(rd)
 	if !s.isAwaiting(rd) {
 		t.Fatal("reader should still be gated while writers keep arriving")
@@ -288,7 +279,7 @@ func TestReaderCanStarveUnderWriterChurn(t *testing.T) {
 	// Only when the last writer leaves does the reader get in.
 	s.release(w1)
 	s.driveWhilePoised(w1)
-	s.driveUntil(rd, "reader in CS", func() bool { return s.atBarrier(rd) })
+	s.driveUntil(rd, "reader in CS", func() bool { return s.r.IsAtBarrier(rd) })
 	s.release(rd)
 	s.driveWhilePoised(rd)
 	if len(s.r.Account(rd).Passages) != 1 {

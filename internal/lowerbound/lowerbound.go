@@ -287,12 +287,7 @@ func (d *driver) step(id int) error {
 
 // driveToBarrier runs process id solo until it parks at its barrier.
 func (d *driver) driveToBarrier(id int) error {
-	for {
-		for _, b := range d.r.AtBarrier() {
-			if b == id {
-				return nil
-			}
-		}
+	for !d.r.IsAtBarrier(id) {
 		if _, poised := d.r.PendingOf(id); !poised {
 			return fmt.Errorf("process %d blocked before reaching its barrier (awaiting: %v)", id, d.r.Awaiting())
 		}
@@ -300,6 +295,7 @@ func (d *driver) driveToBarrier(id int) error {
 			return err
 		}
 	}
+	return nil
 }
 
 // allReadersDone reports whether every reader finished its passage.

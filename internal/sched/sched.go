@@ -8,6 +8,7 @@ package sched
 
 import (
 	"math/rand"
+	"sort"
 
 	"repro/internal/memmodel"
 )
@@ -36,7 +37,8 @@ type PendingOp struct {
 
 // Scheduler selects which poised process takes the next step. The poised
 // slice is non-empty and sorted by ascending process id; Next must return
-// one of its elements.
+// one of its elements. The slice belongs to the simulator, which may hand
+// the same slice to later calls: Next must not modify or retain it.
 type Scheduler interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
@@ -94,12 +96,11 @@ type Controlled struct {
 // Name implements Scheduler.
 func (c *Controlled) Name() string { return "controlled" }
 
-// Next implements Scheduler.
+// Next implements Scheduler. It binary-searches poised, which the
+// Scheduler contract keeps in ascending order.
 func (c *Controlled) Next(_ int, poised []int) int {
-	for _, p := range poised {
-		if p == c.Target {
-			return p
-		}
+	if i := sort.SearchInts(poised, c.Target); i < len(poised) && poised[i] == c.Target {
+		return c.Target
 	}
 	panic("sched: Controlled target not poised")
 }

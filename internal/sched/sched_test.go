@@ -117,6 +117,29 @@ func TestStickyStaysThenRotates(t *testing.T) {
 	}
 }
 
+// TestControlledPicksTarget: Controlled finds its target at the first and
+// last position of the ascending poised list, and panics when the target
+// is absent (below, between and above the poised ids).
+func TestControlledPicksTarget(t *testing.T) {
+	poised := []int{2, 5, 9}
+	for _, target := range []int{2, 5, 9} {
+		c := &Controlled{Target: target}
+		if got := c.Next(0, poised); got != target {
+			t.Errorf("Next with target %d = %d", target, got)
+		}
+	}
+	for _, target := range []int{0, 4, 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Next with absent target %d did not panic", target)
+				}
+			}()
+			(&Controlled{Target: target}).Next(0, poised)
+		}()
+	}
+}
+
 func TestNames(t *testing.T) {
 	cases := []struct {
 		s    Scheduler

@@ -4,30 +4,29 @@ import "repro/internal/memmodel"
 
 // simProc is the memmodel.Proc / sim.Proc implementation handed to each
 // simulated process goroutine. Every operation is a rendezvous with the
-// runner: send the request, block until the runner schedules and applies
-// it, receive the response.
+// runner: send the request on req, block until the runner schedules and
+// applies it, receive the response on resp. Both are plain channel
+// operations. The runner receives on req whenever it resumes a process (it
+// settles the process at its next operation before returning to the
+// driver), so the send never waits for long; between runner calls every
+// live goroutine is parked on its resp receive.
 type simProc struct {
-	r  *Runner
 	ps *procState
 }
 
 var _ Proc = (*simProc)(nil)
 
-// call performs the request/response rendezvous. If the runner is closed
-// it panics with errAborted, which the process goroutine's deferred
+// call performs the request/response rendezvous. Runner.Close aborts a
+// parked process by closing its resp channel; the receive then fails and
+// call panics with errAborted, which the process goroutine's deferred
 // recover treats as a clean shutdown.
 func (p *simProc) call(rq request) response {
-	select {
-	case p.ps.req <- rq:
-	case <-p.r.quit:
+	p.ps.req <- rq
+	resp, ok := <-p.ps.resp
+	if !ok {
 		panic(errAborted)
 	}
-	select {
-	case resp := <-p.ps.resp:
-		return resp
-	case <-p.r.quit:
-		panic(errAborted)
-	}
+	return resp
 }
 
 // ID implements memmodel.Proc.

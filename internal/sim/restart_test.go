@@ -45,10 +45,7 @@ func TestRestartBasic(t *testing.T) {
 	}
 	defer r.Close()
 	// Let p1's read execute, then crash it at the barrier.
-	for {
-		if ids := r.AtBarrier(); len(ids) == 1 {
-			break
-		}
+	for !r.IsAtBarrier(1) {
 		if _, err := r.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +110,7 @@ func TestRestartColdCache(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			for len(r.AtBarrier()) == 0 {
+			for !r.IsAtBarrier(0) {
 				if _, err := r.Step(); err != nil {
 					t.Fatal(err)
 				}
@@ -352,7 +349,7 @@ func TestRestartAfterWedgeResumesStepping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for len(r.AtBarrier()) == 0 {
+	for !r.IsAtBarrier(1) {
 		if _, err := r.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +390,7 @@ func TestRestartSectionAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for len(r.AtBarrier()) == 0 {
+	for !r.IsAtBarrier(0) {
 		if _, err := r.Step(); err != nil {
 			t.Fatal(err)
 		}

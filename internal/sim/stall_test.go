@@ -29,6 +29,16 @@ func stallFixture(t *testing.T) (*Runner, memmodel.Var) {
 	return r, v
 }
 
+// anyAtBarrier reports whether some process of r is blocked at a barrier.
+func anyAtBarrier(r *Runner) bool {
+	for id := 0; id < r.NumProcs(); id++ {
+		if r.IsAtBarrier(id) {
+			return true
+		}
+	}
+	return false
+}
+
 func runToEnd(t *testing.T, r *Runner) error {
 	t.Helper()
 	for {
@@ -37,7 +47,7 @@ func runToEnd(t *testing.T, r *Runner) error {
 			return err
 		}
 		if !progressed {
-			if !r.Terminated() && len(r.AtBarrier()) == 0 {
+			if !r.Terminated() && !anyAtBarrier(r) {
 				t.Fatal("quiesced without terminating and without barriers")
 			}
 			return nil
