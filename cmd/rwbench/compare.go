@@ -3,7 +3,9 @@
 // workload's serial cost regressed past the configured ratios. Serial
 // numbers are the comparison axis because they are independent of the
 // host's core count; ns/op still varies with host speed (CI disables that
-// axis and relies on allocs/op, which is host-independent).
+// axis and relies on allocs/op, which is host-independent). The simulator
+// counts per op (steps, handoffs, replayed steps) are deterministic, so
+// they must match the baseline exactly wherever the baseline has them.
 package main
 
 import (
@@ -87,18 +89,20 @@ func runCompare(oldPath, newPath string, maxNsRatio, maxAllocRatio float64, requ
 		fmt.Println("FAIL: -require-same-host set and the Host blocks differ")
 		return 1, nil
 	}
-	newByName := map[string]SweepCost{}
+	newByName := map[string]SweepResult{}
 	for _, e := range newRep.Experiments {
-		newByName[e.Name] = e.Serial
+		newByName[e.Name] = e
 	}
 
 	fmt.Printf("comparing serial sweep costs: %s (baseline) vs %s\n", oldPath, newPath)
-	fmt.Printf("budgets: ns/op ratio <= %s, allocs/op ratio <= %s\n",
+	fmt.Printf("budgets: ns/op ratio <= %s, allocs/op ratio <= %s, simulator counts exact\n",
 		ratioLimit(maxNsRatio), ratioLimit(maxAllocRatio))
 	table := tablefmt.New("workload", "ns/op old", "ns/op new", "ratio", "allocs old", "allocs new", "ratio", "status")
 	failed := false
+	var countDiffs []string
 	for _, e := range oldRep.Experiments {
-		nc, ok := newByName[e.Name]
+		ne, ok := newByName[e.Name]
+		nc := ne.Serial
 		if !ok {
 			table.AddRow(e.Name, fmt.Sprint(e.Serial.NsPerOp), "-", "-",
 				fmt.Sprint(e.Serial.AllocsPerOp), "-", "-", "FAIL (missing)")
@@ -125,13 +129,20 @@ func runCompare(oldPath, newPath string, maxNsRatio, maxAllocRatio float64, requ
 			fmt.Sprint(e.Serial.NsPerOp), fmt.Sprint(nc.NsPerOp), fmt.Sprintf("%.3f", nsRatio),
 			fmt.Sprint(e.Serial.AllocsPerOp), fmt.Sprint(nc.AllocsPerOp), fmt.Sprintf("%.3f", allocRatio),
 			status)
+		if e.Counts != nil && (ne.Counts == nil || *ne.Counts != *e.Counts) {
+			countDiffs = append(countDiffs, fmt.Sprintf("%s: counts per op %+v, baseline %+v", e.Name, ne.Counts, *e.Counts))
+		}
 	}
-	for name, nc := range newByName {
-		table.AddRow(name, "-", fmt.Sprint(nc.NsPerOp), "-", "-", fmt.Sprint(nc.AllocsPerOp), "-", "new")
+	for name, ne := range newByName {
+		table.AddRow(name, "-", fmt.Sprint(ne.Serial.NsPerOp), "-", "-", fmt.Sprint(ne.Serial.AllocsPerOp), "-", "new")
 	}
 	fmt.Println(table)
+	for _, d := range countDiffs {
+		fmt.Println("FAIL (counts)", d)
+		failed = true
+	}
 	if failed {
-		fmt.Println("FAIL: sweep cost regressed past the budget (or a baseline workload disappeared)")
+		fmt.Println("FAIL: sweep cost regressed past the budget, simulator counts changed, or a baseline workload disappeared")
 		return 1, nil
 	}
 	fmt.Println("PASS: all sweep costs within budget")

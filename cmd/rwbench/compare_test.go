@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // writeReport marshals a minimal -sweeps artifact with the given serial
@@ -168,5 +170,46 @@ func TestCompareHostMismatch(t *testing.T) {
 	}
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("spurious host warning:\n%s", out)
+	}
+}
+
+// writeCountsReport writes an artifact whose workloads carry simulator
+// counts (nil: no counts, as in artifacts from before they were recorded).
+func writeCountsReport(t *testing.T, path string, counts map[string]*sim.Counts) {
+	t.Helper()
+	rep := SweepReport{}
+	for name, c := range counts {
+		rep.Experiments = append(rep.Experiments, SweepResult{Name: name,
+			Serial: SweepCost{NsPerOp: 1000, AllocsPerOp: 100}, Counts: c})
+	}
+	buf, err := json.Marshal(&rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompareCountsExact: the simulator counts are deterministic, so any
+// difference from a baseline that has them fails, in either direction; a
+// baseline without counts gates nothing.
+func TestCompareCountsExact(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.json")
+	newPath := filepath.Join(dir, "new.json")
+	base := &sim.Counts{Steps: 100, Handoffs: 40, Replayed: 60}
+	writeCountsReport(t, oldPath, map[string]*sim.Counts{"A": base, "B": nil})
+
+	writeCountsReport(t, newPath, map[string]*sim.Counts{"A": {Steps: 100, Handoffs: 40, Replayed: 60}, "B": {Steps: 7}})
+	if out, code, err := captureCompare(t, oldPath, newPath, 0, 1.10); err != nil || code != 0 {
+		t.Fatalf("equal counts: code %d, err %v\n%s", code, err, out)
+	}
+	for _, c := range []*sim.Counts{{Steps: 100, Handoffs: 39, Replayed: 60}, {Steps: 101, Handoffs: 40, Replayed: 60}, nil} {
+		writeCountsReport(t, newPath, map[string]*sim.Counts{"A": c, "B": nil})
+		out, code, err := captureCompare(t, oldPath, newPath, 0, 1.10)
+		if err != nil || code != 1 || !strings.Contains(out, "FAIL (counts) A") {
+			t.Errorf("counts %+v against %+v: code %d, err %v\n%s", c, *base, code, err, out)
+		}
 	}
 }

@@ -4,7 +4,9 @@
 // results, and writes the numbers as machine-readable JSON
 // (BENCH_sweeps.json). The file also embeds the recorded pre-overhaul
 // serial baseline so speedups against the old hot path stay reviewable.
-// With -scaling each workload is additionally measured across the
+// Each workload also records exact simulator counts per op (steps,
+// handoffs, replayed steps; sim.ReadCounts), which are deterministic. With
+// -scaling each workload is additionally measured across the
 // 1/2/4/NumCPU worker axis, recording speedup, parallel efficiency and
 // the work-stealing scheduler counters per point.
 package main
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,7 +37,7 @@ type SweepCost struct {
 }
 
 // ScalingPoint is one worker count on a workload's scaling curve
-// (-scaling mode).
+// (-scaling mode). Its costs are medians over scalingRounds timings.
 type ScalingPoint struct {
 	Workers     int   `json:"workers"`
 	NsPerOp     int64 `json:"ns_per_op"`
@@ -62,6 +65,10 @@ type SweepResult struct {
 	// Identical records the determinism check: the parallel run's rendered
 	// results were byte-identical to the serial run's.
 	Identical bool `json:"identical"`
+	// Counts are the exact simulator counts of one run of the workload:
+	// shared-memory steps, process handoffs, and steps replayed from a
+	// recorded prefix. They are the same at every worker count.
+	Counts *sim.Counts `json:"counts_per_op,omitempty"`
 	// Scaling is the worker-count scaling curve (-scaling mode only).
 	Scaling []ScalingPoint `json:"scaling,omitempty"`
 }
@@ -96,32 +103,37 @@ func seedBaseline() map[string]SweepCost {
 	}
 }
 
-// sweepWorkloads returns the benchmarked sweeps. Each function runs the
-// full workload and returns a rendering of every result, so serial and
-// parallel runs can be compared byte-for-byte. The configurations mirror
+// sweepWorkload is one benchmarked sweep. Run runs the full workload and
+// returns its results; render turns them into the string that serial and
+// parallel runs are compared on byte-for-byte. Rendering stays out of the
+// timed loop: it is serial work that is not the sweep's.
+type sweepWorkload struct {
+	Name string
+	Run  func() (any, error)
+}
+
+// render runs w once and renders its results.
+func (w sweepWorkload) render() (string, error) {
+	v, err := w.Run()
+	return fmt.Sprintf("%+v", v), err
+}
+
+// sweepWorkloads returns the benchmarked sweeps. The configurations mirror
 // bench_test.go (E2) and the E13/E15 sweep scenario, keeping the numbers
 // comparable across artifacts.
-func sweepWorkloads() []struct {
-	Name string
-	Run  func() (string, error)
-} {
+func sweepWorkloads() []sweepWorkload {
 	afLog := func() memmodel.Algorithm { return core.New(core.FLog) }
 	sweepSc := spec.Scenario{NReaders: 2, NWriters: 2, ReaderPassages: 2, WriterPassages: 2, CSReads: 1}
-	return []struct {
-		Name string
-		Run  func() (string, error)
-	}{
-		{"E2LowerBound", func() (string, error) {
+	return []sweepWorkload{
+		{"E2LowerBound", func() (any, error) {
 			rows, _, err := experiments.E2LowerBound([]int{9, 27, 81, 243}, sim.WriteThrough)
-			return fmt.Sprintf("%+v", rows), err
+			return rows, err
 		}},
-		{"CrashSweepAFLog", func() (string, error) {
-			outs, err := spec.CrashSweep(afLog, sweepSc, 0, nil)
-			return fmt.Sprintf("%+v", outs), err
+		{"CrashSweepAFLog", func() (any, error) {
+			return spec.CrashSweep(afLog, sweepSc, 0, nil)
 		}},
-		{"StallSweepAFLog", func() (string, error) {
-			outs, err := spec.StallSweep(afLog, sweepSc, 0, nil)
-			return fmt.Sprintf("%+v", outs), err
+		{"StallSweepAFLog", func() (any, error) {
+			return spec.StallSweep(afLog, sweepSc, 0, nil)
 		}},
 	}
 }
@@ -187,14 +199,17 @@ func runSweeps(outPath string, benchtime time.Duration, scaling bool, minSpeedup
 		res := SweepResult{Name: w.Name}
 
 		parwork.SetDefault(1)
-		serialFP, err := w.Run()
+		before := sim.ReadCounts()
+		serialFP, err := w.render()
 		if err != nil {
 			return fmt.Errorf("%s (serial): %w", w.Name, err)
 		}
+		counts := sim.ReadCounts().Sub(before)
+		res.Counts = &counts
 		res.Serial = measureSweep(w.Run)
 
 		parwork.SetDefault(workers)
-		parFP, err := w.Run()
+		parFP, err := w.render()
 		if err != nil {
 			return fmt.Errorf("%s (parallel): %w", w.Name, err)
 		}
@@ -211,9 +226,11 @@ func runSweeps(outPath string, benchtime time.Duration, scaling bool, minSpeedup
 		fmt.Printf("%-16s serial %12d ns/op %8d allocs/op | parallel(%d) %12d ns/op | speedup %.2fx identical=%v\n",
 			w.Name, res.Serial.NsPerOp, res.Serial.AllocsPerOp, workers,
 			res.Parallel.NsPerOp, res.Speedup, res.Identical)
+		fmt.Printf("%-16s per op: %d steps, %d handoffs, %d replayed steps\n",
+			w.Name, counts.Steps, counts.Handoffs, counts.Replayed)
 
 		if scaling {
-			pts, err := measureScaling(w.Name, w.Run, serialFP)
+			pts, err := measureScaling(w, serialFP)
 			if err != nil {
 				return err
 			}
@@ -242,50 +259,76 @@ func runSweeps(outPath string, benchtime time.Duration, scaling bool, minSpeedup
 	return nil
 }
 
+// scalingRounds is the number of timings behind each scaling point. A
+// point's costs are the medians of its timings, taken in rounds that visit
+// every worker count in turn, so a slow spell of the host lands on all
+// points alike rather than on one.
+const scalingRounds = 7
+
 // measureScaling measures one workload across the scaling worker-count
 // axis. Per point it runs the workload once outside the timing loop to
 // (a) re-verify byte-identity against the serial fingerprint under this
 // worker count and (b) capture the parwork scheduler-counter delta for
-// exactly one run, then times it with the benchmark harness. Speedups are
-// relative to the curve's own 1-worker point so the curve is internally
-// consistent whatever the harness's iteration choices.
-func measureScaling(name string, run func() (string, error), serialFP string) ([]ScalingPoint, error) {
+// exactly one run. It then times every point scalingRounds times with the
+// benchmark harness, alternating the worker counts. Speedups are relative
+// to the curve's own 1-worker point so the curve is internally consistent
+// whatever the harness's iteration choices.
+func measureScaling(w sweepWorkload, serialFP string) ([]ScalingPoint, error) {
+	defer parwork.SetDefault(0)
 	counts := scalingWorkerCounts()
-	pts := make([]ScalingPoint, 0, len(counts))
-	var baseNs int64
-	for _, wkr := range counts {
+	pts := make([]ScalingPoint, len(counts))
+	for i, wkr := range counts {
 		parwork.SetDefault(wkr)
 		before := parwork.ReadStats()
-		fp, err := run()
+		fp, err := w.render()
 		if err != nil {
-			parwork.SetDefault(0)
-			return nil, fmt.Errorf("%s (scaling, %d workers): %w", name, wkr, err)
+			return nil, fmt.Errorf("%s (scaling, %d workers): %w", w.Name, wkr, err)
 		}
-		pt := ScalingPoint{
+		pts[i] = ScalingPoint{
 			Workers:   wkr,
 			Identical: fp == serialFP,
 			Sched:     parwork.ReadStats().Sub(before),
 		}
-		if !pt.Identical {
-			parwork.SetDefault(0)
-			return nil, fmt.Errorf("%s: results at %d workers diverged from serial", name, wkr)
+		if !pts[i].Identical {
+			return nil, fmt.Errorf("%s: results at %d workers diverged from serial", w.Name, wkr)
 		}
-		c := measureSweep(run)
-		parwork.SetDefault(0)
-		pt.NsPerOp, pt.BytesPerOp, pt.AllocsPerOp = c.NsPerOp, c.BytesPerOp, c.AllocsPerOp
-		if wkr == 1 {
-			baseNs = c.NsPerOp
+	}
+	samples := make([][]SweepCost, len(counts))
+	for round := 0; round < scalingRounds; round++ {
+		for i, wkr := range counts {
+			parwork.SetDefault(wkr)
+			samples[i] = append(samples[i], measureSweep(w.Run))
 		}
-		if baseNs > 0 && c.NsPerOp > 0 {
-			pt.Speedup = float64(baseNs) / float64(c.NsPerOp)
-			pt.Efficiency = pt.Speedup / float64(wkr)
+	}
+	var baseNs int64
+	for i := range pts {
+		pt := &pts[i]
+		pt.NsPerOp = median(samples[i], func(c SweepCost) int64 { return c.NsPerOp })
+		pt.BytesPerOp = median(samples[i], func(c SweepCost) int64 { return c.BytesPerOp })
+		pt.AllocsPerOp = median(samples[i], func(c SweepCost) int64 { return c.AllocsPerOp })
+		if pt.Workers == 1 {
+			baseNs = pt.NsPerOp
+		}
+		if baseNs > 0 && pt.NsPerOp > 0 {
+			pt.Speedup = float64(baseNs) / float64(pt.NsPerOp)
+			pt.Efficiency = pt.Speedup / float64(pt.Workers)
 		}
 		fmt.Printf("%-16s workers=%-2d %12d ns/op %8d allocs/op | speedup %.2fx efficiency %.2f | steals=%d local=%d chunks=%d\n",
-			name, wkr, pt.NsPerOp, pt.AllocsPerOp, pt.Speedup, pt.Efficiency,
+			w.Name, pt.Workers, pt.NsPerOp, pt.AllocsPerOp, pt.Speedup, pt.Efficiency,
 			pt.Sched.Steals, pt.Sched.LocalClaims, pt.Sched.Chunks)
-		pts = append(pts, pt)
 	}
 	return pts, nil
+}
+
+// median returns the median of field over costs (the upper one of an even
+// count).
+func median(costs []SweepCost, field func(SweepCost) int64) int64 {
+	vs := make([]int64, len(costs))
+	for i, c := range costs {
+		vs[i] = field(c)
+	}
+	slices.Sort(vs)
+	return vs[len(vs)/2]
 }
 
 // checkSpeedup2 enforces the CI scaling gate: every workload's 2-worker
@@ -317,7 +360,7 @@ func checkSpeedup2(results []SweepResult, minSpeedup float64) int {
 
 // measureSweep times fn with the testing harness (-benchtime per
 // configuration) and extracts per-op costs.
-func measureSweep(fn func() (string, error)) SweepCost {
+func measureSweep(fn func() (any, error)) SweepCost {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

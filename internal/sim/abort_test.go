@@ -108,9 +108,10 @@ func TestStartAfterCloseErrors(t *testing.T) {
 }
 
 // TestCloseAfterPanicInStart: an Observer that panics while Start settles
-// the second of three processes leaves the first parked on its response
-// and the second mid-rendezvous; Close must still abort both and return
-// (a goroutine left blocked elsewhere would hang the test).
+// the second of three processes (on the section marker in its outbox)
+// leaves the first two parked on their responses and the third never
+// launched; Close must still abort both and return (a goroutine left
+// blocked elsewhere would hang the test).
 func TestCloseAfterPanicInStart(t *testing.T) {
 	r := New(Config{Observer: func(e trace.Event) {
 		if e.SectionChange && e.Proc == 1 {

@@ -5,15 +5,25 @@
 // remote memory references exactly as the write-through or write-back CC
 // model prescribes.
 //
-// Each simulated process runs as a goroutine that blocks before every
-// shared-memory operation; a single runner goroutine owns all memory and
-// coherence state, asks the scheduler which poised process steps next,
-// applies the operation, and resumes that process. Executions are therefore
-// data-race-free by construction and exactly reproducible for a given
-// scheduler. The handoff is a plain send on the process's req channel and a
-// plain receive on its resp channel, with no select: Close aborts every
-// parked goroutine, including incarnations retired by Restart, by closing
-// its resp channel (see proc.go).
+// Each simulated process runs as a goroutine; a single runner goroutine
+// owns all memory and coherence state, asks the scheduler which poised
+// process steps next, applies the operation, and resumes that process.
+// Executions are therefore data-race-free by construction and exactly
+// reproducible for a given scheduler.
+//
+// A process talks to the runner through its outbox: it appends every
+// request there, and hands off (a plain send on its req channel, then a
+// receive on its resp channel) only when it needs an answer the runner
+// has not given it yet. Section markers never wait. A process started
+// with a recorded script (Record, RunAhead) answers its operations from
+// the script and runs ahead to the script's end in one handoff. Step
+// still executes each of those operations for real, taking it from the
+// outbox instead of the channel, and returns a *DivergenceError if the
+// response it computes, or the step it computes it at, differs from the
+// recorded one. Between Runner calls every live goroutine is parked on
+// its resp receive or has exited, so Close aborts them all, including
+// incarnations retired by Restart, by closing their resp channels (see
+// proc.go).
 //
 // A step costs O(1) in the number of processes when no status changed: the
 // runner keeps the poised list, a per-variable waiter index, the barrier
@@ -35,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/memmodel"
 	"repro/internal/sched"
@@ -119,14 +130,38 @@ type response struct {
 	swapped bool
 }
 
+func (r response) equal(o response) bool {
+	return r.val == o.val && r.swapped == o.swapped && slices.Equal(r.vals, o.vals)
+}
+
+func (r response) String() string {
+	if r.vals != nil {
+		return fmt.Sprintf("vals=%v", r.vals)
+	}
+	return fmt.Sprintf("val=%d swapped=%v", r.val, r.swapped)
+}
+
 type procState struct {
 	id          int
 	incarnation int
 	prog        Program
-	req         chan request
-	resp        chan response
-	status      procStatus
-	pending     request
+	// req carries the goroutine's handoffs: a send when it waits for a
+	// reply, and the close when its program returns.
+	req     chan struct{}
+	resp    chan response
+	status  procStatus
+	pending request
+
+	// outbox holds the requests the goroutine issued since the runner
+	// last replied, in issue order; next is the runner's read position.
+	// Ownership moves with the handoff (see simProc).
+	outbox []request
+	next   int
+	// script holds the recorded responses the incarnation answers its
+	// first operations from (RunAhead); played counts the ones the runner
+	// has checked.
+	script []stamped
+	played int
 
 	// stalled marks a process paused by fault injection (fail-slow model).
 	// It is orthogonal to status: the process keeps its pending operation
@@ -139,6 +174,29 @@ type procState struct {
 	// park numbers the process's current await parking (Runner.parks); a
 	// waiter entry with another number is stale.
 	park uint32
+}
+
+func newProcState(id, incarnation int, prog Program) *procState {
+	return &procState{
+		id:          id,
+		incarnation: incarnation,
+		prog:        prog,
+		req:         make(chan struct{}),
+		resp:        make(chan response),
+	}
+}
+
+// scriptedCheck decides an await check that starts at global step start
+// when the process answered the await from its script: the check holds
+// from the step the recording says the await completed at, and fails
+// before it. The predicate is not consulted: the process has run past the
+// await, and a predicate may read captured variables that the program has
+// changed since. reply then checks the step and the values.
+func (ps *procState) scriptedCheck(start int) (holds, scripted bool) {
+	if ps.played == len(ps.script) {
+		return false, false
+	}
+	return ps.script[ps.played].step <= start, true
 }
 
 // waiter is one entry of a variable's waiter list: process id, listed when
@@ -197,6 +255,83 @@ type Runner struct {
 	nFinite  int
 
 	awaitVals []uint64
+
+	// rec, if non-nil, records the initial incarnations' responses
+	// (Record); ahead and aheadSteps are the script RunAhead hands to them
+	// at Start. diverged is the first failed response check; every later
+	// Step returns it.
+	rec        *Recording
+	ahead      *Recording
+	aheadSteps int
+	diverged   *DivergenceError
+
+	// handoffs and replayed are this execution's counts, added to the
+	// package totals (ReadCounts) by Close.
+	handoffs, replayed int64
+	// outboxes holds the outbox buffers of a closed execution's processes,
+	// which Reset keeps for the next execution's processes.
+	outboxes [][]request
+}
+
+// stamped is one recorded response and the global step index at which the
+// operation that produced it started.
+type stamped struct {
+	step int
+	resp response
+}
+
+// Recording holds the responses every initial incarnation (the processes
+// Start launches) received in one execution, each stamped with the global
+// step that produced it. A sweep records its fault-free reference run
+// (Record) and starts every faulty row from the part of the recording
+// before the row's first fault (RunAhead). A Recording is read-only once
+// its execution ends and may then be shared by concurrent executions.
+type Recording struct {
+	procs [][]stamped
+}
+
+// DivergenceError reports that a process answered an operation from its
+// script differently from what the runner computed, or at another step
+// than the recording's: the simulated program depends on something other
+// than simulated memory, or the execution left the recorded one before
+// the script ended. Step returns it, and keeps returning it, since the
+// process has run ahead on the wrong answer.
+type DivergenceError struct {
+	// Proc is the process id.
+	Proc int
+	// Step is the global step index at which the operation started, and
+	// RecordedStep the one at which it started in the recording.
+	Step, RecordedStep int
+	// Recorded and Computed render the two responses.
+	Recorded, Computed string
+}
+
+func (e *DivergenceError) Error() string {
+	return fmt.Sprintf("sim: p%d diverged from its script at step %d: recorded %s at step %d, computed %s",
+		e.Proc, e.Step, e.Recorded, e.RecordedStep, e.Computed)
+}
+
+// Counts are simulator work totals: shared-memory steps, handoffs (one
+// runner-process channel round trip each: a launch or a reply, answered by
+// the process's next send on req or its close), and replayed steps (steps
+// of operations the process answered from its script).
+type Counts struct {
+	Steps    int64 `json:"steps"`
+	Handoffs int64 `json:"handoffs"`
+	Replayed int64 `json:"replayed_steps"`
+}
+
+// Sub returns c - o.
+func (c Counts) Sub(o Counts) Counts {
+	return Counts{Steps: c.Steps - o.Steps, Handoffs: c.Handoffs - o.Handoffs, Replayed: c.Replayed - o.Replayed}
+}
+
+var totals struct{ steps, handoffs, replayed atomic.Int64 }
+
+// ReadCounts returns the totals of every runner closed so far in this
+// process. A runner adds its counts once, at Close (or Reset).
+func ReadCounts() Counts {
+	return Counts{Steps: totals.steps.Load(), Handoffs: totals.handoffs.Load(), Replayed: totals.replayed.Load()}
 }
 
 // New returns a Runner with the given configuration.
@@ -255,12 +390,11 @@ func (r *Runner) AddProc(prog Program) int {
 		panic("sim: AddProc after Start")
 	}
 	id := len(r.procs)
-	r.procs = append(r.procs, &procState{
-		id:   id,
-		prog: prog,
-		req:  make(chan request),
-		resp: make(chan response),
-	})
+	ps := newProcState(id, 0, prog)
+	if n := len(r.outboxes); n > 0 {
+		ps.outbox, r.outboxes = r.outboxes[n-1], r.outboxes[:n-1]
+	}
+	r.procs = append(r.procs, ps)
 	r.accts = append(r.accts, newAccount(id, 0))
 	return id
 }
@@ -303,6 +437,24 @@ func (r *Runner) Incarnation(id int) int { return r.procs[id].incarnation }
 // Protocol returns the coherence protocol in effect.
 func (r *Runner) Protocol() Protocol { return r.cfg.Protocol }
 
+// Record makes the execution record the responses of the processes Start
+// launches into rec, replacing its contents. Call it before Start.
+func (r *Runner) Record(rec *Recording) { r.rec = rec }
+
+// RunAhead starts every process Start launches with the responses rec
+// recorded for it before global step steps: the process answers those
+// operations itself and runs ahead to its state at that step in one
+// handoff. Step still executes each operation for real and checks the
+// response it computes against the recorded one (see DivergenceError).
+// This is sound because simulated programs interact only through simulated
+// memory: a program's requests are a function of the responses it got. An
+// execution whose first steps-many steps repeat the recorded one then
+// runs exactly as it would without a script. Call it before Start; steps 0
+// gives every process an empty script.
+func (r *Runner) RunAhead(rec *Recording, steps int) {
+	r.ahead, r.aheadSteps = rec, steps
+}
+
 // Start launches all process goroutines and settles each at its first
 // operation. It must be called exactly once, after allocation and AddProc.
 func (r *Runner) Start() error {
@@ -334,6 +486,18 @@ func (r *Runner) Start() error {
 	} else {
 		r.waiters = make([][]waiter, len(r.mem))
 	}
+	if r.rec != nil {
+		r.rec.procs = make([][]stamped, len(r.procs))
+	}
+	if r.ahead != nil {
+		for id, ps := range r.procs {
+			if id < len(r.ahead.procs) {
+				s := r.ahead.procs[id]
+				n, _ := slices.BinarySearchFunc(s, r.aheadSteps, func(e stamped, step int) int { return e.step - step })
+				ps.script = s[:n]
+			}
+		}
+	}
 	// Each goroutine is settled before the next is launched, so at most
 	// one is ever outside its resp receive: a driver panic here leaves
 	// every launched goroutine abortable by Close.
@@ -344,7 +508,8 @@ func (r *Runner) Start() error {
 	return nil
 }
 
-// launch starts the goroutine running ps's program.
+// launch starts the goroutine running ps's program and hears its first
+// handoff.
 func (r *Runner) launch(ps *procState) {
 	r.wg.Add(1)
 	go func() {
@@ -357,16 +522,39 @@ func (r *Runner) launch(ps *procState) {
 		}()
 		ps.prog(&simProc{ps: ps})
 	}()
+	r.hear(ps)
+}
+
+// hear waits for ps's goroutine to hand off: to send on req, waiting for
+// the reply to the last request in its outbox, or to close req on return.
+// Afterwards the runner owns ps.outbox.
+func (r *Runner) hear(ps *procState) {
+	r.handoffs++
+	<-ps.req
+}
+
+// answer replies to the request ps's goroutine waits on, returns the
+// emptied outbox to it, and hears its next handoff: one round trip.
+func (r *Runner) answer(ps *procState, resp response) {
+	ps.outbox = ps.outbox[:0]
+	ps.next = 0
+	ps.resp <- resp
+	r.hear(ps)
 }
 
 // Close aborts any still-running process goroutines and waits for them to
 // exit. It is safe to call multiple times and after normal completion.
-// Every live goroutine is parked receiving on its resp channel, so closing
-// that channel is the abort; this covers incarnations retired by Restart.
+// Every live goroutine is parked receiving on its resp channel, or has
+// exited (a program that finished inside its script), so closing that
+// channel is the abort; this covers incarnations retired by Restart.
 // After Close, Start, Step, ReleaseBarrier and Restart return errAborted.
+// The first Close adds the execution's counts to the package totals.
 func (r *Runner) Close() {
 	if !r.closed {
 		r.closed = true
+		totals.steps.Add(int64(r.steps))
+		totals.handoffs.Add(r.handoffs)
+		totals.replayed.Add(r.replayed)
 		for _, ps := range r.procs {
 			close(ps.resp)
 		}
@@ -388,13 +576,17 @@ func (r *Runner) Close() {
 // What Reset may reuse: every buffer whose contents are fully rebuilt by
 // the next setup phase (Alloc/AddProc/Start) — the shared-memory array,
 // variable names and homes, the coherence sharer/owner words, the procs
-// and accts slices, and the poised/await scratch. What it must NOT reuse:
+// and accts slices, and the poised/await scratch — and the processes'
+// outbox buffers, whose goroutines Close saw exit. What it must NOT reuse:
 // Account objects and procState channels, which escape into Reports and
 // into process goroutines of the previous execution; those are always
 // allocated fresh. Like every Runner method it must be called from the
 // single driver goroutine.
 func (r *Runner) Reset(cfg Config) {
 	r.Close()
+	for _, ps := range r.procs {
+		r.outboxes = append(r.outboxes, ps.outbox[:0])
+	}
 	r.cfg = cfg.withDefaults()
 	r.mem = r.mem[:0]
 	r.names = r.names[:0]
@@ -410,6 +602,8 @@ func (r *Runner) Reset(cfg Config) {
 	r.nBarrier = 0
 	r.nFinite = 0
 	r.poisedDirty = true
+	r.rec, r.ahead, r.aheadSteps, r.diverged = nil, nil, 0, nil
+	r.handoffs, r.replayed = 0, 0
 	// r.wg is reusable as-is: Close waited for every previous goroutine,
 	// so its counter is back to zero. r.coh, r.acctHist and r.waiters are
 	// re-prepared by Start, which knows the new process/variable counts.
@@ -417,16 +611,21 @@ func (r *Runner) Reset(cfg Config) {
 
 // settle advances process ps until it is poised at a shared-memory op,
 // blocked at a barrier, or done, processing section transitions inline.
+// It reads ps's requests from its outbox, which the last handoff filled.
+// A handoff that waits for a reply ends the outbox with the op or barrier
+// it waits on, so an outbox used up means the goroutine has exited: the
+// process is done.
 func (r *Runner) settle(ps *procState) {
 	for {
-		rq, ok := <-ps.req
-		if !ok {
+		if ps.next == len(ps.outbox) {
 			if ps.status != statusDone {
 				r.setStatus(ps, statusDone)
 				r.nDone++
 			}
 			return
 		}
+		rq := ps.outbox[ps.next]
+		ps.next++
 		switch {
 		case rq.section != 0:
 			r.accts[ps.id].transition(rq.section)
@@ -437,7 +636,6 @@ func (r *Runner) settle(ps *procState) {
 				Section:       rq.section,
 				SectionChange: true,
 			})
-			ps.resp <- response{}
 		case rq.barrier:
 			r.setStatus(ps, statusBarrier)
 			return
@@ -544,13 +742,7 @@ func (r *Runner) Restart(id int, prog Program) error {
 	if old.status != statusCrashed {
 		return fmt.Errorf("sim: Restart(%d): process is not crashed", id)
 	}
-	ps := &procState{
-		id:          id,
-		incarnation: old.incarnation + 1,
-		prog:        prog,
-		req:         make(chan request),
-		resp:        make(chan response),
-	}
+	ps := newProcState(id, old.incarnation+1, prog)
 	r.procs[id] = ps
 	r.retired = append(r.retired, old)
 	r.acctHist[id] = append(r.acctHist[id], r.accts[id])
@@ -788,7 +980,7 @@ func (r *Runner) ReleaseBarrier(id int) error {
 	if ps.status != statusBarrier {
 		return fmt.Errorf("sim: process %d is not at a barrier", id)
 	}
-	ps.resp <- response{}
+	r.answer(ps, response{})
 	r.settle(ps)
 	return nil
 }
@@ -796,13 +988,17 @@ func (r *Runner) ReleaseBarrier(id int) error {
 // Step executes one scheduled shared-memory step. It returns progressed ==
 // false with a nil error when no step can be taken because every live
 // process is done or barrier-blocked (the driver decides what to do next),
-// and ErrDeadlock when live processes exist but all are awaiting.
+// ErrDeadlock when live processes exist but all are awaiting, and a
+// *DivergenceError when a scripted response proved wrong (see RunAhead).
 func (r *Runner) Step() (progressed bool, err error) {
 	if !r.started {
 		return false, errors.New("sim: Step before Start")
 	}
 	if r.closed {
 		return false, errAborted
+	}
+	if r.diverged != nil {
+		return false, r.diverged
 	}
 	if r.steps >= r.cfg.MaxSteps {
 		return false, fmt.Errorf("%w (%d)", ErrMaxSteps, r.cfg.MaxSteps)
@@ -840,7 +1036,17 @@ func (r *Runner) Step() (progressed bool, err error) {
 	if ps.status != statusPoised {
 		return false, fmt.Errorf("sim: scheduler %q picked non-poised process %d", r.cfg.Scheduler.Name(), pick)
 	}
-	r.execute(ps)
+	start, scripted := r.steps, ps.played < len(ps.script)
+	resp, completed := r.execute(ps)
+	if scripted {
+		r.replayed += int64(r.steps - start)
+	}
+	if completed {
+		r.reply(ps, start, resp)
+	}
+	if r.diverged != nil {
+		return false, r.diverged
+	}
 	return true, nil
 }
 
@@ -862,9 +1068,10 @@ func (r *Runner) Run() error {
 	}
 }
 
-// execute applies the pending operation of ps, emits its trace event(s),
-// wakes awaiters, and settles ps (unless it transitioned to awaiting).
-func (r *Runner) execute(ps *procState) {
+// execute applies the pending operation of ps and emits its trace
+// event(s), waking awaiters. It returns the operation's response, or
+// completed == false when an await check failed and parked ps.
+func (r *Runner) execute(ps *procState) (resp response, completed bool) {
 	rq := ps.pending
 	switch rq.kind {
 	case memmodel.OpRead:
@@ -874,7 +1081,7 @@ func (r *Runner) execute(ps *procState) {
 			Kind: memmodel.OpRead, Var: rq.v,
 			Before: val, After: val, Trivial: true, RMR: rmr,
 		})
-		r.reply(ps, response{val: val})
+		return response{val: val}, true
 
 	case memmodel.OpWrite:
 		before := r.mem[rq.v]
@@ -885,7 +1092,7 @@ func (r *Runner) execute(ps *procState) {
 			Before: before, After: rq.arg, Trivial: before == rq.arg, RMR: rmr,
 		})
 		r.wakeAwaiters(ps.id, rq.v)
-		r.reply(ps, response{})
+		return response{}, true
 
 	case memmodel.OpCAS:
 		before := r.mem[rq.v]
@@ -905,7 +1112,7 @@ func (r *Runner) execute(ps *procState) {
 		if swapped && !trivial {
 			r.wakeAwaiters(ps.id, rq.v)
 		}
-		r.reply(ps, response{val: before, swapped: swapped})
+		return response{val: before, swapped: swapped}, true
 
 	case memmodel.OpFetchAdd:
 		before := r.mem[rq.v]
@@ -925,10 +1132,10 @@ func (r *Runner) execute(ps *procState) {
 		if !trivial {
 			r.wakeAwaiters(ps.id, rq.v)
 		}
-		r.reply(ps, response{val: before})
+		return response{val: before}, true
 
 	case memmodel.OpAwait:
-		r.executeAwait(ps)
+		return r.executeAwait(ps)
 
 	default:
 		panic(fmt.Sprintf("sim: unknown op kind %v", rq.kind))
@@ -942,8 +1149,8 @@ func (r *Runner) execute(ps *procState) {
 // packages) run allocation-free; multi-awaits evaluate their predicate on
 // a runner-owned scratch slice and copy it only when the await completes,
 // because the returned values escape to the awaiting program.
-func (r *Runner) executeAwait(ps *procState) {
-	rq := ps.pending
+func (r *Runner) executeAwait(ps *procState) (response, bool) {
+	rq, start := ps.pending, r.steps
 	if rq.mpred == nil {
 		rmr := r.coh.read(ps.id, rq.v)
 		val := r.mem[rq.v]
@@ -951,12 +1158,15 @@ func (r *Runner) executeAwait(ps *procState) {
 			Kind: memmodel.OpAwait, Var: rq.v,
 			Before: val, After: val, Trivial: true, RMR: rmr,
 		})
-		if rq.pred(val) {
-			r.reply(ps, response{val: val})
-			return
+		holds, scripted := ps.scriptedCheck(start)
+		if !scripted {
+			holds = rq.pred(val)
+		}
+		if holds {
+			return response{val: val}, true
 		}
 		r.park(ps)
-		return
+		return response{}, false
 	}
 	if cap(r.awaitVals) < len(rq.vars) {
 		r.awaitVals = make([]uint64, len(rq.vars))
@@ -970,13 +1180,17 @@ func (r *Runner) executeAwait(ps *procState) {
 			Before: vals[i], After: vals[i], Trivial: true, RMR: rmr,
 		})
 	}
-	if rq.mpred(vals) {
+	holds, scripted := ps.scriptedCheck(start)
+	if !scripted {
+		holds = rq.mpred(vals)
+	}
+	if holds {
 		out := make([]uint64, len(vals))
 		copy(out, vals)
-		r.reply(ps, response{val: out[0], vals: out})
-		return
+		return response{val: out[0], vals: out}, true
 	}
 	r.park(ps)
+	return response{}, false
 }
 
 // park makes ps wait on its pending await and lists it once under each of
@@ -1058,9 +1272,29 @@ func (r *Runner) emit(e trace.Event) {
 	}
 }
 
-// reply completes ps's pending operation and settles it at its next one.
-func (r *Runner) reply(ps *procState, resp response) {
-	ps.resp <- resp
+// reply completes ps's pending operation, which started at global step
+// start, and settles ps at its next one. It records the response if the
+// execution is being recorded. An operation the process answered from its
+// script is checked instead of answered: the process has already run past
+// it, so the response and the step must be the recorded ones. A mismatch
+// sets r.diverged and leaves ps where it is.
+func (r *Runner) reply(ps *procState, start int, resp response) {
+	if r.rec != nil && ps.incarnation == 0 {
+		kept := resp
+		kept.vals = slices.Clone(resp.vals) // the program may modify its copy
+		r.rec.procs[ps.id] = append(r.rec.procs[ps.id], stamped{step: start, resp: kept})
+	}
+	if ps.played < len(ps.script) {
+		want := ps.script[ps.played]
+		ps.played++
+		if want.step != start || !want.resp.equal(resp) {
+			r.diverged = &DivergenceError{Proc: ps.id, Step: start, RecordedStep: want.step,
+				Recorded: want.resp.String(), Computed: resp.String()}
+			return
+		}
+	} else {
+		r.answer(ps, resp)
+	}
 	r.settle(ps)
 }
 

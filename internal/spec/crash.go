@@ -142,6 +142,7 @@ func crashPlan(newAlg func() memmodel.Algorithm, sc Scenario, kind, params strin
 		mkSched: mkSched,
 		ref:     plainRef(newAlg),
 		points:  points,
+		first:   func(pt fault.Point) int { return pt.Step },
 		// Known row shape: a crash at step k replays the k-step prefix
 		// and then runs the survivors out (bounded by the reference
 		// length), so later crash points cost more.
@@ -159,9 +160,9 @@ func crashPlan(newAlg func() memmodel.Algorithm, sc Scenario, kind, params strin
 }
 
 // plainRef is the fault-free reference run of the crash and stall sweeps.
-func plainRef(newAlg func() memmodel.Algorithm) func(Scenario) (int, verdict) {
-	return func(run Scenario) (int, verdict) {
-		rep := Run(newAlg(), run)
+func plainRef(newAlg func() memmodel.Algorithm) func(*runnerCache, Scenario) (int, verdict) {
+	return func(c *runnerCache, run Scenario) (int, verdict) {
+		rep := runOn(c, newAlg(), run)
 		return rep.Steps, rep
 	}
 }

@@ -269,11 +269,18 @@ func restartPlan(newAlg func() memmodel.RecoverableAlgorithm, sc Scenario, kind,
 	return sweepPlan[[]fault.RestartPoint, *RecoverOutcome]{
 		kind: kind, label: "recovery sweep", alg: alg, params: params,
 		mkSched: mkSched,
-		ref: func(run Scenario) (int, verdict) {
-			out := RunCrashRecover(newAlg(), run, nil)
+		ref: func(c *runnerCache, run Scenario) (int, verdict) {
+			out := runCrashRecoverOn(c, newAlg(), run, nil)
 			return out.Steps, out
 		},
 		points: points,
+		first: func(pts []fault.RestartPoint) int {
+			first := pts[0].Step
+			for _, pt := range pts[1:] {
+				first = min(first, pt.Step)
+			}
+			return first
+		},
 		// Known row shape: replay the prefix up to the last crash, sit out
 		// its restart delay, then run recovery plus the survivors'
 		// remainder.

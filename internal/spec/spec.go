@@ -192,7 +192,18 @@ func (s *Scenario) defaults() {
 // reusing the simulator's memory/coherence/account buffers. Each sweep
 // worker owns one cache (its parwork.DoRobust scope), so runners are never
 // shared.
-type runnerCache struct{ r *sim.Runner }
+//
+// The sweep driver also sets, per execution, what the next runner records
+// or runs ahead from: record receives a reference run's responses
+// (sim.Runner.Record), and script with ahead starts a row's processes from
+// the responses its reference recorded before the row's first fault
+// (sim.Runner.RunAhead). get hands both to the runner and clears them.
+type runnerCache struct {
+	r      *sim.Runner
+	record *sim.Recording
+	script *sim.Recording
+	ahead  int
+}
 
 func (c *runnerCache) get(cfg sim.Config) *sim.Runner {
 	if c.r == nil {
@@ -200,6 +211,13 @@ func (c *runnerCache) get(cfg sim.Config) *sim.Runner {
 	} else {
 		c.r.Reset(cfg)
 	}
+	if c.record != nil {
+		c.r.Record(c.record)
+	}
+	if c.script != nil {
+		c.r.RunAhead(c.script, c.ahead)
+	}
+	c.record, c.script = nil, nil
 	return c.r
 }
 

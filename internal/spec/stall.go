@@ -227,6 +227,7 @@ func stallPlan(newAlg func() memmodel.Algorithm, sc Scenario, kind, params strin
 		mkSched: mkSched,
 		ref:     plainRef(newAlg),
 		points:  points,
+		first:   func(pt fault.StallPoint) int { return pt.Step },
 		cost:    stallCost,
 		row: func(c *runnerCache, run Scenario, pt fault.StallPoint) StallOutcome {
 			return runMixedOn(c, newAlg(), run, nil, pt)
@@ -275,7 +276,8 @@ func MixedSweepSampled(newAlg func() memmodel.Algorithm, sc Scenario, crashVicti
 			}
 			return pts
 		},
-		cost: func(steps int, p mixedPoint) int64 { return stallCost(steps, p.stall) },
+		first: func(p mixedPoint) int { return min(p.crash.Step, p.stall.Step) },
+		cost:  func(steps int, p mixedPoint) int64 { return stallCost(steps, p.stall) },
 		row: func(c *runnerCache, run Scenario, p mixedPoint) StallOutcome {
 			return runMixedOn(c, newAlg(), run, []fault.Point{p.crash}, p.stall)
 		},

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/parwork"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // sweepPlan describes one fault sweep to the driver, sweep. Every exported
@@ -29,11 +30,14 @@ type sweepPlan[P, T any] struct {
 	// mkSched builds a fresh scheduler for a seed (a fixed-schedule sweep
 	// ignores the seed); nil selects sched.NewRandom.
 	mkSched func(seed int64) sched.Scheduler
-	// ref executes the fault-free reference run and returns its step
-	// count and verdict.
-	ref func(run Scenario) (steps int, v verdict)
+	// ref executes the fault-free reference run on c and returns its
+	// step count and verdict.
+	ref func(c *runnerCache, run Scenario) (steps int, v verdict)
 	// points lists the fault points of a reference of the given length.
 	points func(seed int64, steps int) []P
+	// first is the global step of p's earliest fault: a row runs exactly
+	// as its reference until then.
+	first func(p P) int
 	// cost is the scheduling hint of point p (parwork.CostHint semantics)
 	// under a reference of the given length.
 	cost func(steps int, p P) int64
@@ -55,17 +59,22 @@ type verdict interface {
 }
 
 // sweepRow is one row of a sweep: a fault point and the reference run
-// (seed and length) it was drawn from.
+// (seed, length and recorded responses) it was drawn from.
 type sweepRow[P any] struct {
 	seed  int64
 	pt    P
 	steps int
+	rec   *sim.Recording
 }
 
 // sweep runs a fault sweep: the reference runs, the fault points drawn
 // over their step counts, then one execution per point, fanned out
 // through parwork.DoRobust across sc.Parallel workers with each worker
-// reusing one runner. The scenario's robust options (EffectiveRobust)
+// reusing one runner. Each reference run records its processes'
+// responses, and a row starts its processes from the part recorded before
+// its first fault: they run ahead through that fault-free prefix in one
+// handoff each, while the runner still executes every step of it (see
+// sim.Runner.RunAhead). The scenario's robust options (EffectiveRobust)
 // select checkpointing, cancellation and keep-going; with none in play
 // DoRobust is a plain fan-out. Rows land in point order whichever worker
 // runs them, so the result is byte-identical at every worker count and
@@ -91,7 +100,10 @@ func sweep[P, T any](sc Scenario, pl sweepPlan[P, T]) ([]T, error) {
 		seed := seeds[i]
 		run := sc
 		run.Scheduler = pl.mkSched(seed)
-		steps, v := pl.ref(run)
+		rec := &sim.Recording{}
+		c := runnerCache{record: rec}
+		defer c.close()
+		steps, v := pl.ref(&c, run)
 		if !v.OK() {
 			at := ""
 			if pl.sampled {
@@ -102,7 +114,7 @@ func sweep[P, T any](sc Scenario, pl sweepPlan[P, T]) ([]T, error) {
 		pts := pl.points(seed, steps)
 		rows := make([]sweepRow[P], len(pts))
 		for k, pt := range pts {
-			rows[k] = sweepRow[P]{seed: seed, pt: pt, steps: steps}
+			rows[k] = sweepRow[P]{seed: seed, pt: pt, steps: steps, rec: rec}
 		}
 		return reference{steps, rows}, nil
 	}
@@ -167,6 +179,7 @@ func sweep[P, T any](sc Scenario, pl sweepPlan[P, T]) ([]T, error) {
 		func(c *runnerCache, i int) T {
 			run := sc
 			run.Scheduler = pl.mkSched(rows[i].seed)
+			c.script, c.ahead = rows[i].rec, pl.first(rows[i].pt)
 			return pl.row(c, run, rows[i].pt)
 		},
 		func(i int, f *parwork.RowFailure) T { return pl.stub(rows[i].pt, f) })
