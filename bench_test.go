@@ -22,9 +22,10 @@ import (
 
 // BenchmarkExperiments regenerates every table of the experiments
 // registry, one sub-benchmark per entry (BenchmarkExperiments/E2, ...).
-// Under -short each entry runs its quick grid, so the CI benchmark smoke
-// job (-bench=. -benchtime=1x -short) stays a compile-and-run check
-// rather than a full table regeneration.
+// Under -short each entry runs its quick grid (E13-E15 have only one, under
+// a second together), so the CI benchmark smoke job (-bench=. -benchtime=1x
+// -short) stays a compile-and-run check rather than a full table
+// regeneration.
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range experiments.Registry() {
 		b.Run(e.Name, func(b *testing.B) {

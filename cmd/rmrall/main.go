@@ -1,11 +1,19 @@
 // Command rmrall regenerates the simulator experiment tables of
-// EXPERIMENTS.md from the experiments registry. Native throughput (E7)
-// has its own binary, rwbench; the property gates (E6, E13-E15) are
-// rwverify's.
+// EXPERIMENTS.md from the experiments registry, E1-E15 except native
+// throughput (E7, cmd/rwbench). Every table checks the claims it shows:
+// the command exits 1 if one fails (the property matrix E6 and the fault
+// tables E13-E15 are the pass/fail gates).
+//
+// The fault sweeps are crash-safe: with -checkpoint FILE completed sweep
+// rows are recorded durably, SIGINT/SIGTERM stops the sweep cooperatively
+// (exit status 3), and -resume picks up where the interrupted run stopped
+// with byte-identical final output. See also -keep-going and -row-timeout.
 //
 // Usage:
 //
 //	rmrall [-e E2,E11] [-quick] [-parallel N]
+//	       [-checkpoint FILE [-resume]] [-keep-going] [-row-timeout D]
+//	       [-cpuprofile FILE] [-memprofile FILE]
 //
 // -e names the tables to print, in the order given (default: all, in
 // registry order). An unknown name exits 2 with the valid names listed.
@@ -25,6 +33,8 @@ func main() {
 	names := flag.String("e", "", "comma-separated tables to print, in order (default all: "+strings.Join(allNames(), ",")+")")
 	quick := flag.Bool("quick", false, "smaller grids (faster)")
 	applyParallel := cliutil.ParallelFlag()
+	applyRobust := cliutil.RobustFlags()
+	applyProfile := cliutil.ProfileFlags()
 	flag.Parse()
 	cliutil.NoArgs(flag.CommandLine)
 	applyParallel()
@@ -32,12 +42,18 @@ func main() {
 	entries, err := selectEntries(*names)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rmrall:", err)
-		os.Exit(2)
+		cliutil.Exit(2)
+	}
+	if err := applyRobust(); err != nil {
+		cliutil.Fail("rmrall", err)
+	}
+	if err := applyProfile(); err != nil {
+		cliutil.Fail("rmrall", err)
 	}
 	if err := run(entries, *quick); err != nil {
-		fmt.Fprintln(os.Stderr, "rmrall:", err)
-		os.Exit(1)
+		cliutil.Fail("rmrall", err)
 	}
+	cliutil.Exit(0)
 }
 
 func allNames() []string {

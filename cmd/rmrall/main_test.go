@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -73,9 +74,60 @@ func TestUnknownNameExits2(t *testing.T) {
 	if out != "" {
 		t.Errorf("printed tables before rejecting the list:\n%s", out)
 	}
-	for _, want := range []string{`"E99"`, "E1,E2,E3a,E3b,E4,E5,E6,E8,E9,E10,E11,E12"} {
+	for _, want := range []string{`"E99"`, "E1,E2,E3a,E3b,E4,E5,E6,E8,E9,E10,E11,E12,E13,E14,E15"} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("stderr %q missing %q", errOut, want)
 		}
+	}
+}
+
+// TestGatesPass runs the gate tables on their full grids: E6 over seeds
+// 1-5 and the fault tables E13-E15, each under its caption, exit 0.
+func TestGatesPass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full property matrix and exhaustive fault sweeps")
+	}
+	out, errOut, code := rmrall(t, "-e", "E6,E13,E14,E15")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	for _, want := range []string{
+		"=== E6:", "bounded exit",
+		"=== E13:", "crash-stop sweep (", "abort cost of one failing try attempt", "reader abort rmr",
+		"=== E14:", "resumed cs",
+		"=== E15:", "fail-slow stall sweep (", "max rd byp", "reader liveness under", "doomed readers",
+		"sampled crash+stall mixed sweep",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+// TestInterruptResume drives a checkpointed E15 run that stops after 25
+// rows as if interrupted: it must exit 3 and say it is resumable, and
+// -resume must then print exactly what an uninterrupted serial run does.
+func TestInterruptResume(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	_, errOut, code := rmrall(t, "-e", "E15", "-parallel", "2", "-checkpoint", ck, "-interrupt-after", "25")
+	if code != 3 {
+		t.Fatalf("interrupted run exited %d, want 3: %s", code, errOut)
+	}
+	if !strings.Contains(errOut, "resumable, rerun with -resume") {
+		t.Errorf("interrupted run did not advertise resumability: %s", errOut)
+	}
+	if fi, err := os.Stat(ck); err != nil || fi.Size() == 0 {
+		t.Fatalf("no checkpoint was flushed: %v", err)
+	}
+	resumed, errOut, code := rmrall(t, "-e", "E15", "-parallel", "2", "-checkpoint", ck, "-resume")
+	if code != 0 {
+		t.Fatalf("resumed run exited %d: %s", code, errOut)
+	}
+	serial, errOut, code := rmrall(t, "-e", "E15", "-parallel", "1")
+	if code != 0 {
+		t.Fatalf("serial run exited %d: %s", code, errOut)
+	}
+	if resumed != serial {
+		t.Errorf("resumed output differs from the uninterrupted serial run:\n--- resumed\n%s\n--- serial\n%s", resumed, serial)
 	}
 }

@@ -61,17 +61,12 @@ func main() {
 	maxAllocRatio := flag.Float64("max-alloc-ratio", 1.10, "-compare: max allowed new/old serial allocs/op ratio (0 disables the axis)")
 	requireSameHost := flag.Bool("require-same-host", false, "-compare: fail when the two artifacts' Host blocks differ instead of just warning")
 	applyParallel := cliutil.ParallelFlag()
-	applyRobust := cliutil.RobustFlags()
 	applyProfile := cliutil.ProfileFlags()
 	flag.Parse()
 	if !*compare {
 		cliutil.NoArgs(flag.CommandLine)
 	}
 	applyParallel()
-	if err := applyRobust(); err != nil {
-		fmt.Fprintln(os.Stderr, "rwbench:", err)
-		cliutil.Exit(1)
-	}
 	if err := applyProfile(); err != nil {
 		fmt.Fprintln(os.Stderr, "rwbench:", err)
 		cliutil.Exit(1)

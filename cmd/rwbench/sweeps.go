@@ -126,7 +126,7 @@ func sweepWorkloads() []sweepWorkload {
 	sweepSc := spec.Scenario{NReaders: 2, NWriters: 2, ReaderPassages: 2, WriterPassages: 2, CSReads: 1}
 	return []sweepWorkload{
 		{"E2LowerBound", func() (any, error) {
-			rows, _, err := experiments.E2LowerBound([]int{9, 27, 81, 243}, sim.WriteThrough)
+			rows, _, err := experiments.E2LowerBound([]int{9, 27, 81, 243})
 			return rows, err
 		}},
 		{"CrashSweepAFLog", func() (any, error) {
@@ -168,14 +168,6 @@ func scalingWorkerCounts() []int {
 // 2-worker speedup into a gate (skipped on single-CPU hosts, where there
 // is no 2-worker point to measure).
 func runSweeps(outPath string, benchtime time.Duration, scaling bool, minSpeedup2 float64) error {
-	// Checkpointing cannot coexist with measurement: the loops re-run the
-	// same sweep many times, and restored rows would turn later iterations
-	// into no-ops. Any robust default installed by the shared flags is
-	// dropped for the duration of the benchmarks.
-	if spec.DefaultRobust() != nil {
-		fmt.Fprintln(os.Stderr, "rwbench: -sweeps ignores the robust-sweep flags (measurement must recompute every row)")
-		spec.SetDefaultRobust(nil)
-	}
 	// testing.Benchmark sizes b.N from the test.benchtime flag, which only
 	// exists after testing.Init; registering it post-Parse is fine because
 	// it is set programmatically, never from the command line.

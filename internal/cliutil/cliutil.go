@@ -6,8 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/parwork"
 )
@@ -38,25 +36,4 @@ func NoArgs(fs *flag.FlagSet) {
 	fmt.Fprintf(fs.Output(), "%s: unexpected argument %q (flags only)\n", fs.Name(), fs.Arg(0))
 	fs.Usage()
 	Exit(2)
-}
-
-// ParseSeeds parses a comma-separated list of int64 seeds.
-func ParseSeeds(s string) ([]int64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int64, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad seed %q: %w", p, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty seed list %q", s)
-	}
-	return out, nil
 }

@@ -12,19 +12,6 @@ import (
 	"repro/internal/parwork"
 )
 
-func TestParseSeeds(t *testing.T) {
-	got, err := ParseSeeds("1,-2,3")
-	if err != nil || len(got) != 3 || got[1] != -2 {
-		t.Fatalf("got %v, %v", got, err)
-	}
-	if _, err := ParseSeeds("x"); err == nil {
-		t.Error("bad seed accepted")
-	}
-	if _, err := ParseSeeds(""); err == nil {
-		t.Error("empty seeds accepted")
-	}
-}
-
 // TestNoArgs checks the flags-only contract shared by every cmd/ binary:
 // positional operands exit with status 2 (matching the flag package's own
 // bad-flag exit), clean invocations pass through.

@@ -1,7 +1,7 @@
 // Robust-sweep flags: the -checkpoint/-resume/-keep-going/-row-timeout
-// surface shared by rwverify, rwexplore and rwbench. Like ParallelFlag,
-// the flags install a process-wide default (spec.SetDefaultRobust) so
-// every sweep in the invocation inherits the chosen behaviors.
+// surface shared by rmrall and rwexplore. Like ParallelFlag, the flags
+// install a process-wide default (spec.SetDefaultRobust) so every sweep in
+// the invocation inherits the chosen behaviors.
 package cliutil
 
 import (

@@ -54,7 +54,8 @@ func e13CrashAlgs() []Factory {
 
 // E13CrashSweep runs the exhaustive crash sweep for every algorithm and
 // both victim classes on a 2-reader/2-writer, 2-passage round-robin
-// workload. The outer (algorithm, victim) loop stays serial: each
+// workload, and errors on a robustness failure (see e13CrashVerdict). The
+// outer (algorithm, victim) loop stays serial: each
 // spec.CrashSweep already fans its crash points across the full worker
 // pool, so parallelizing the grid too would only oversubscribe it.
 func E13CrashSweep() ([]E13CrashRow, *tablefmt.Table, error) {
@@ -105,7 +106,29 @@ func E13CrashSweep() ([]E13CrashRow, *tablefmt.Table, error) {
 			}
 		}
 	}
+	if err := e13CrashVerdict(rows); err != nil {
+		return nil, nil, err
+	}
 	return rows, e13CrashTable(rows), nil
+}
+
+// e13CrashVerdict fails the first row where a crash broke Mutual
+// Exclusion, a hang escaped the watchdog to the step budget, or a
+// remainder-section crash (the victim holds nothing) wedged a survivor.
+func e13CrashVerdict(rows []E13CrashRow) error {
+	for _, r := range rows {
+		switch {
+		case r.MEViol > 0:
+			return fmt.Errorf("E13 %s: crash of %s in %s broke mutual exclusion (%d violations)",
+				r.Alg, r.Victim, r.Section, r.MEViol)
+		case r.Budget > 0:
+			return fmt.Errorf("E13 %s: %d hangs escaped the watchdog (step-budget timeout)", r.Alg, r.Budget)
+		case r.Section == memmodel.SecRemainder.String() && r.Live != r.Points:
+			return fmt.Errorf("E13 %s: remainder-section crash of %s wedged survivors (%d/%d live)",
+				r.Alg, r.Victim, r.Live, r.Points)
+		}
+	}
+	return nil
 }
 
 func e13CrashTable(rows []E13CrashRow) *tablefmt.Table {
@@ -139,7 +162,7 @@ func e13TryAlgs() []Factory {
 // The expected shapes follow Theorem 18's entry bounds: a reader abort
 // costs O(log(n/f(n))) (constant at f(n)=n), a writer abort O(f(n))
 // (constant at f(n)=1), and the centralized lock is constant on both
-// sides.
+// sides. It errors when a claim fails (see e13AbortVerdict).
 func E13AbortCost(ns []int) ([]E13AbortRow, *tablefmt.Table, error) {
 	rows, err := gridRows(e13TryAlgs(), ns, nSquaredCost, func(fac Factory, n int) (E13AbortRow, error) {
 		c, err := spec.MeasureAbortCost(fac.New, n)
@@ -156,7 +179,39 @@ func E13AbortCost(ns []int) ([]E13AbortRow, *tablefmt.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := e13AbortVerdict(rows); err != nil {
+		return nil, nil, err
+	}
 	return rows, e13AbortTable(rows), nil
+}
+
+// e13AbortVerdict fails the first row whose staged attempt did not abort,
+// or whose abort cost grew with n where it is claimed constant: reader
+// aborts of af-n and centralized, writer aborts of af-1 and centralized.
+// Each algorithm's first row is its baseline.
+func e13AbortVerdict(rows []E13AbortRow) error {
+	first := map[string]E13AbortRow{}
+	for _, r := range rows {
+		if !r.Aborted {
+			return fmt.Errorf("E13 abort %s n=%d: staged try attempt did not abort", r.Alg, r.N)
+		}
+		f, seen := first[r.Alg]
+		if !seen {
+			first[r.Alg] = r
+			continue
+		}
+		constReader := r.Alg == "af-n" || r.Alg == "centralized"
+		constWriter := r.Alg == "af-1" || r.Alg == "centralized"
+		if constReader && r.ReaderRMR != f.ReaderRMR {
+			return fmt.Errorf("E13 abort %s: reader abort cost grew with n (%d at n=%d vs %d at n=%d)",
+				r.Alg, f.ReaderRMR, f.N, r.ReaderRMR, r.N)
+		}
+		if constWriter && r.WriterRMR != f.WriterRMR {
+			return fmt.Errorf("E13 abort %s: writer abort cost grew with n (%d at n=%d vs %d at n=%d)",
+				r.Alg, f.WriterRMR, f.N, r.WriterRMR, r.N)
+		}
+	}
+	return nil
 }
 
 func e13AbortTable(rows []E13AbortRow) *tablefmt.Table {

@@ -35,9 +35,9 @@ type E2Row struct {
 	Lemma1Violations int
 }
 
-// E2LowerBound runs the Theorem-5 adversary against the A_f family and the
-// baselines that support concurrent reading.
-func E2LowerBound(ns []int, protocol sim.Protocol) ([]E2Row, *tablefmt.Table, error) {
+// E2LowerBound runs the Theorem-5 adversary, under write-through, against
+// the A_f family and the baselines that support concurrent reading.
+func E2LowerBound(ns []int) ([]E2Row, *tablefmt.Table, error) {
 	facs := AFFactories()
 	for _, b := range BaselineFactories() {
 		if b.Name == "mutex-rw" {
@@ -56,7 +56,7 @@ func E2LowerBound(ns []int, protocol sim.Protocol) ([]E2Row, *tablefmt.Table, er
 		// baseline's exit loop legitimately needs Theta(n^2) total
 		// steps under the adversary (n readers x Theta(n) retries).
 		res, err := lowerbound.Run(fac.New(), n, lowerbound.Config{
-			Protocol:     protocol,
+			Protocol:     sim.WriteThrough,
 			IterationCap: 4*n + 64,
 			StepBudget:   200_000 + 4*n*n,
 		})

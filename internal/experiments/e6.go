@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/parwork"
@@ -30,7 +31,8 @@ type E6Row struct {
 
 // E6Properties checks the Section-5 properties for every algorithm —
 // including the ablation variants and the writer-priority composition —
-// across random schedules.
+// across random schedules. It errors if any algorithm violates a property
+// it claims (see e6Verdict).
 func E6Properties(seeds []int64) ([]E6Row, *tablefmt.Table, error) {
 	const n, m = 6, 2
 	exitBound := int(24*math.Log2(n+m)) + 32
@@ -85,7 +87,28 @@ func E6Properties(seeds []int64) ([]E6Row, *tablefmt.Table, error) {
 		row.ReaderOverlap = rep.MaxConcurrentReaders >= 2
 		return row
 	})
+	if err := e6Verdict(rows); err != nil {
+		return nil, nil, err
+	}
 	return rows, e6Table(rows), nil
+}
+
+// e6Verdict fails the first row that lost Mutual Exclusion, Progress or
+// Bounded Exit, or whose reader overlap differs from its claim.
+func e6Verdict(rows []E6Row) error {
+	for _, r := range rows {
+		switch {
+		case !r.MutualExclusion:
+			return fmt.Errorf("E6 %s: Mutual Exclusion violated", r.Alg)
+		case !r.Progress:
+			return fmt.Errorf("E6 %s: a run did not complete its passages (progress)", r.Alg)
+		case !r.BoundedExit:
+			return fmt.Errorf("E6 %s: %d exit steps exceed the Bounded Exit bound", r.Alg, r.MaxExitSteps)
+		case r.ReaderOverlap != r.ExpectOverlap:
+			return fmt.Errorf("E6 %s: reader overlap %v, claimed %v", r.Alg, r.ReaderOverlap, r.ExpectOverlap)
+		}
+	}
+	return nil
 }
 
 func e6Table(rows []E6Row) *tablefmt.Table {

@@ -1,8 +1,10 @@
 // Package experiments defines the reproduction experiments from
 // DESIGN.md, one function per experiment. Each returns machine-readable
-// rows plus a rendered text table. Registry lists the simulator tables of
-// EXPERIMENTS.md with their published grids: cmd/rmrall prints them and
-// bench_test.go times them. cmd/rwverify gates on E6 and E13-E15.
+// rows plus a rendered text table, and an error when a claim the table
+// checks fails: the property gates of E6 and the fault tables E13-E15
+// live in the function that builds their rows. Registry lists the
+// simulator tables of EXPERIMENTS.md with their published grids:
+// cmd/rmrall prints them and bench_test.go times them.
 //
 // The paper (PODC 2016, theory) has no numbered tables or measurement
 // figures; the experiments reproduce its quantitative *claims*:

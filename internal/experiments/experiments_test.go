@@ -68,7 +68,7 @@ func TestE1TradeoffShapes(t *testing.T) {
 }
 
 func TestE2LowerBoundTable(t *testing.T) {
-	rows, table, err := E2LowerBound([]int{9, 27}, sim.WriteThrough)
+	rows, table, err := E2LowerBound([]int{9, 27})
 	if err != nil {
 		t.Fatal(err)
 	}

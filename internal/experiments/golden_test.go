@@ -48,7 +48,7 @@ func TestGoldenE1(t *testing.T) {
 }
 
 func TestGoldenE2(t *testing.T) {
-	_, table, err := E2LowerBound([]int{9, 27}, sim.WriteThrough)
+	_, table, err := E2LowerBound([]int{9, 27})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestRegistryNames pins the registry to the simulator tables of
-// EXPERIMENTS.md, in order, with no duplicates.
+// EXPERIMENTS.md (all but native E7), in order, with no duplicates.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"E1", "E2", "E3a", "E3b", "E4", "E5", "E6", "E8", "E9", "E10", "E11", "E12"}
+	want := []string{"E1", "E2", "E3a", "E3b", "E4", "E5", "E6", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
 	seen := map[string]bool{}
 	var got []string
 	for _, e := range Registry() {
@@ -26,7 +26,8 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-// TestRegistryQuickRuns runs every entry on its quick grid.
+// TestRegistryQuickRuns runs every entry on its quick grid, and so every
+// claim the tables check (E13-E15 run their only grid).
 func TestRegistryQuickRuns(t *testing.T) {
 	for _, e := range Registry() {
 		t.Run(e.Name, func(t *testing.T) {

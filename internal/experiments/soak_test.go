@@ -65,7 +65,7 @@ func TestSoakLowerBoundLargeN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	rows, _, err := E2LowerBound([]int{729}, sim.WriteThrough)
+	rows, _, err := E2LowerBound([]int{729})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 // and its exit wedges the lock by design — all such a native test could
 // assert is "everything hangs", nondeterministically. The crash-stop
 // behavior is instead proven deterministically on the simulator, at every
-// step boundary, by the internal/fault sweep (rwverify -crash, E13).
+// step boundary, by the internal/fault sweep (rmrall -e E13).
 func exerciseTry(t *testing.T, alg memmodel.Algorithm, nReaders, nWriters, passages int) {
 	t.Helper()
 	lock, err := NewLock(alg, nReaders, nWriters)

@@ -52,14 +52,10 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrDeadlock is returned when every live process is blocked on an await
-// and no step can unblock any of them.
-var ErrDeadlock = errors.New("sim: deadlock: all live processes are awaiting")
-
 // ErrNoProgress is the sentinel for the watchdog's structured non-progress
 // diagnostic: no step is enabled although not every process has finished.
-// Step and Run return a *NoProgressError, which matches both ErrNoProgress
-// and (for compatibility with older drivers) ErrDeadlock under errors.Is.
+// Step and Run return a *NoProgressError, which matches ErrNoProgress under
+// errors.Is.
 var ErrNoProgress = errors.New("sim: no progress (deadlock): no live process has an enabled step")
 
 // ErrMaxSteps is returned when an execution exceeds the configured step
@@ -988,8 +984,9 @@ func (r *Runner) ReleaseBarrier(id int) error {
 // Step executes one scheduled shared-memory step. It returns progressed ==
 // false with a nil error when no step can be taken because every live
 // process is done or barrier-blocked (the driver decides what to do next),
-// ErrDeadlock when live processes exist but all are awaiting, and a
-// *DivergenceError when a scripted response proved wrong (see RunAhead).
+// a *NoProgressError (matching ErrNoProgress) when live processes exist
+// but all are awaiting, and a *DivergenceError when a scripted response
+// proved wrong (see RunAhead).
 func (r *Runner) Step() (progressed bool, err error) {
 	if !r.started {
 		return false, errors.New("sim: Step before Start")
@@ -1367,7 +1364,7 @@ func (s StalledProc) String() string {
 // driver — Stalled), processes blocked on an await (Stuck, with Doomed set
 // when the wedge is attributable to crashed or stalled victims rather than
 // an algorithmic deadlock), and crash-stopped processes (CrashedProcs). It
-// matches both ErrNoProgress and ErrDeadlock under errors.Is.
+// matches ErrNoProgress under errors.Is.
 //
 // An empty Stuck with a non-empty Stalled means every non-victim process
 // completed its program: the survivors are done and only indefinitely
@@ -1403,10 +1400,9 @@ func (e *NoProgressError) Error() string {
 	return b.String()
 }
 
-// Is reports a match for both the new and the legacy sentinel, so existing
-// errors.Is(err, ErrDeadlock) callers keep working.
+// Is reports a match for ErrNoProgress.
 func (e *NoProgressError) Is(target error) bool {
-	return target == ErrNoProgress || target == ErrDeadlock //nolint:errorlint // sentinel identity
+	return target == ErrNoProgress //nolint:errorlint // sentinel identity
 }
 
 // noProgress builds the structured watchdog diagnostic.

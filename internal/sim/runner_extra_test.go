@@ -71,7 +71,7 @@ func TestDeadlockMessageNamesVariables(t *testing.T) {
 	}
 	defer r.Close()
 	err := r.Run()
-	if !errors.Is(err, ErrDeadlock) {
+	if !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("err = %v", err)
 	}
 	if !strings.Contains(err.Error(), "stuck-var=42") {

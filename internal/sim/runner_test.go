@@ -217,8 +217,8 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	defer r.Close()
 	err := r.Run()
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("Run error = %v, want ErrDeadlock", err)
+	if !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("Run error = %v, want ErrNoProgress", err)
 	}
 }
 

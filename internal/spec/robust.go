@@ -54,9 +54,6 @@ var defaultRobust atomic.Pointer[RobustOptions]
 // parwork.SetDefault carries -parallel. Pass nil to clear.
 func SetDefaultRobust(o *RobustOptions) { defaultRobust.Store(o) }
 
-// DefaultRobust returns the current process-wide default, nil if unset.
-func DefaultRobust() *RobustOptions { return defaultRobust.Load() }
-
 // EffectiveRobust resolves the robust options a sweep over sc runs under:
 // the scenario's own Robust field wins (including a non-nil zero value,
 // which opts out of the default); otherwise the process default. Exported
@@ -65,5 +62,5 @@ func EffectiveRobust(sc Scenario) *RobustOptions {
 	if sc.Robust != nil {
 		return sc.Robust
 	}
-	return DefaultRobust()
+	return defaultRobust.Load()
 }
