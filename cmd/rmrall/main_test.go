@@ -81,27 +81,59 @@ func TestUnknownNameExits2(t *testing.T) {
 	}
 }
 
-// TestGatesPass runs the gate tables on their full grids: E6 over seeds
-// 1-5 and the fault tables E13-E15, each under its caption, exit 0.
-func TestGatesPass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full property matrix and exhaustive fault sweeps")
-	}
-	out, errOut, code := rmrall(t, "-e", "E6,E13,E14,E15")
+// gatePasses runs the named tables on their full grids and checks that
+// every gate holds (exit 0), that each wanted line or column is printed,
+// and that no cell reports a failure.
+func gatePasses(t *testing.T, names string, want ...string) {
+	t.Helper()
+	out, errOut, code := rmrall(t, "-e", names)
 	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
+		t.Fatalf("exit %d: %s\n%s", code, errOut, out)
 	}
-	for _, want := range []string{
-		"=== E6:", "bounded exit",
-		"=== E13:", "crash-stop sweep (", "abort cost of one failing try attempt", "reader abort rmr",
-		"=== E14:", "resumed cs",
-		"=== E15:", "fail-slow stall sweep (", "max rd byp", "reader liveness under", "doomed readers",
-		"sampled crash+stall mixed sweep",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Errorf("output missing %q", w)
 		}
 	}
+	if strings.Contains(out, "FAIL") {
+		t.Errorf("%s reported failures:\n%s", names, out)
+	}
+}
+
+// TestE6Passes runs the property matrix over seeds 1-5: Mutual
+// Exclusion, progress, reader overlap and Bounded Exit all hold.
+func TestE6Passes(t *testing.T) {
+	gatePasses(t, "E6", "=== E6:", "mutual exclusion", "reader overlap", "bounded exit")
+}
+
+// TestE13CrashSweep runs the crash-stop sweep and the abort-cost table;
+// their gates must pass.
+func TestE13CrashSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep is a full exhaustive enumeration")
+	}
+	gatePasses(t, "E13", "=== E13:", "crash-stop sweep (", "crash section",
+		"abort cost of one failing try attempt", "reader abort rmr")
+}
+
+// TestE14RecoverSweep runs the crash-recovery sweep; its gate must pass.
+func TestE14RecoverSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("recovery sweep is a full exhaustive enumeration")
+	}
+	gatePasses(t, "E14", "=== E14:", "crash-recovery sweep (", "crash section", "resumed cs")
+}
+
+// TestE15StallSweep runs the fail-slow tables: the stall sweep, reader
+// liveness with its mutex-rw negative control, and the crash+stall mix;
+// every liveness gate must pass.
+func TestE15StallSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stall sweep is a full exhaustive enumeration")
+	}
+	gatePasses(t, "E15", "=== E15:", "fail-slow stall sweep (", "stall section", "max rd byp",
+		"reader liveness under", "negative control", "doomed readers",
+		"sampled crash+stall mixed sweep")
 }
 
 // TestInterruptResume drives a checkpointed E15 run that stops after 25
