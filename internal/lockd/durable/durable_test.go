@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -31,9 +32,11 @@ func TestTokenRoundTrip(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	recs := []*Record{
-		{LSN: 1, Type: RecHello, Session: "s1", Slot: 3, TTLMS: 500, Expiry: 12345},
+		{LSN: 1, Type: RecHello, Session: "s1", TTLMS: 500, Expiry: 12345},
 		{LSN: 2, Type: RecGrant, Session: "s1", Key: "k", Mode: "w", Shard: 2, Word: 7, Token: MakeToken(1, 9)},
-		{LSN: 3, Type: RecEpoch, Epoch: 2},
+		{LSN: 3, Type: RecResp, Session: "s1", Seq: 4, Resp: []byte(`{"seq":4,"ok":true}`)},
+		{LSN: 4, Type: RecEnqueue, Session: "s1", Key: "k", Mode: "r", Shard: -1, Word: -300, TTLMS: -5, Expiry: -1},
+		{LSN: 5, Type: RecEpoch, Epoch: 2},
 	}
 	var buf []byte
 	for _, r := range recs {
@@ -42,7 +45,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, valid, err := ReadLog(buf)
+	got, valid, err := readAll(buf)
 	if err != nil {
 		t.Fatalf("ReadLog: %v", err)
 	}
@@ -71,7 +74,7 @@ func TestReadLogTornTail(t *testing.T) {
 	// Chop the log at every possible byte boundary: the valid prefix must
 	// always be a whole number of frames and the tail error typed.
 	for cut := 0; cut < len(buf); cut++ {
-		recs, valid, err := ReadLog(buf[:cut])
+		recs, valid, err := readAll(buf[:cut])
 		if valid > int64(cut) {
 			t.Fatalf("cut %d: valid prefix %d past end", cut, valid)
 		}
@@ -105,7 +108,7 @@ func TestReadLogBitFlip(t *testing.T) {
 	// Flip one payload bit in the second frame: CRC must catch it, the
 	// first frame must survive, and the error must be typed corruption.
 	buf[one+frameHeader+2] ^= 0x40
-	recs, valid, scanErr := ReadLog(buf)
+	recs, valid, scanErr := readAll(buf)
 	var ce *CorruptError
 	if !errors.As(scanErr, &ce) || ce.Reason != "crc" {
 		t.Fatalf("want *CorruptError(crc), got %T %v", scanErr, scanErr)
@@ -115,7 +118,7 @@ func TestReadLogBitFlip(t *testing.T) {
 	}
 	// An implausible length field is corruption too, not a huge ShortError.
 	binary.LittleEndian.PutUint32(buf[one:], MaxFrame+1)
-	_, _, scanErr = ReadLog(buf)
+	_, _, scanErr = readAll(buf)
 	if !errors.As(scanErr, &ce) || ce.Reason != "length" {
 		t.Fatalf("want *CorruptError(length), got %T %v", scanErr, scanErr)
 	}
@@ -123,12 +126,12 @@ func TestReadLogBitFlip(t *testing.T) {
 
 func TestApplyLifecycleAndLedger(t *testing.T) {
 	st := NewState(2, 4)
-	st.Apply(&Record{Type: RecHello, Session: "a", Slot: 0, TTLMS: 100, Expiry: 50})
-	st.Apply(&Record{Type: RecHello, Session: "b", Slot: 1, TTLMS: 100, Expiry: 60})
+	st.Apply(&Record{Type: RecHello, Session: "a", TTLMS: 100, Expiry: 50})
+	st.Apply(&Record{Type: RecHello, Session: "b", TTLMS: 100, Expiry: 60})
 	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k", Mode: "w", Shard: 1, Word: 2, Token: MakeToken(1, 5)})
 	st.Apply(&Record{Type: RecEnqueue, Session: "b", Key: "k", Mode: "w", Shard: 1})
-	if st.NextSlot != 2 {
-		t.Fatalf("NextSlot = %d", st.NextSlot)
+	if len(st.Sessions) != 2 || st.Sessions["b"].Expiry != 60 {
+		t.Fatalf("sessions after hello: %+v", st.Sessions)
 	}
 	if got := st.Shards[1].Words[2]; got != 5 {
 		t.Fatalf("word counter = %d, want 5", got)
@@ -177,7 +180,7 @@ func TestApplyLifecycleAndLedger(t *testing.T) {
 
 func TestApplyRespCacheCapAndMaxSeq(t *testing.T) {
 	st := NewState(1, 1)
-	st.Apply(&Record{Type: RecHello, Session: "s", Slot: 0})
+	st.Apply(&Record{Type: RecHello, Session: "s"})
 	for i := 1; i <= respCacheCapDefault+10; i++ {
 		st.Apply(&Record{Type: RecResp, Session: "s", Seq: uint64(i), Resp: []byte(`{"ok":true}`)})
 	}
@@ -206,7 +209,7 @@ func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 	if _, err := s.BumpEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, s, &Record{Type: RecHello, Session: "s", Slot: 0, TTLMS: 1000, Expiry: time.Now().Add(time.Hour).UnixNano()})
+	mustAppend(t, s, &Record{Type: RecHello, Session: "s", TTLMS: 1000, Expiry: time.Now().Add(time.Hour).UnixNano()})
 	mustAppend(t, s, &Record{Type: RecGrant, Session: "s", Key: "k", Mode: "w", Shard: 1, Word: 3, Token: MakeToken(1, 42)})
 	s.Crash() // kill -9: no snapshot, no final sync
 
@@ -247,7 +250,7 @@ func TestStoreSnapshotRotationAndTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, s, &Record{Type: RecHello, Session: "s", Slot: 0})
+	mustAppend(t, s, &Record{Type: RecHello, Session: "s"})
 	for i := 0; i < 40; i++ {
 		mustAppend(t, s, &Record{Type: RecRenew, Session: "s", Expiry: int64(i)})
 	}
@@ -257,7 +260,7 @@ func TestStoreSnapshotRotationAndTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, scanErr := ReadLog(wal[len(walMagic):])
+	recs, _, scanErr := readAll(wal[len(walMagic):])
 	if scanErr != nil {
 		t.Fatal(scanErr)
 	}
@@ -292,7 +295,7 @@ func TestSnapshotGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, s, &Record{Type: RecHello, Session: "s", Slot: 0})
+	mustAppend(t, s, &Record{Type: RecHello, Session: "s"})
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +319,16 @@ func TestOpenRejectsForeignWAL(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Reason != "magic" {
 		t.Fatalf("want *CorruptError(magic), got %T %v", err, err)
 	}
+}
+
+// readAll scans a log body with ReadLog, keeping a copy of every record.
+func readAll(b []byte) ([]*Record, int64, error) {
+	var recs []*Record
+	valid, err := ReadLog(bytes.NewReader(b), func(r *Record) {
+		cp := *r
+		recs = append(recs, &cp)
+	})
+	return recs, valid, err
 }
 
 func mustAppend(t *testing.T, s *Store, rec *Record) {

@@ -10,12 +10,13 @@ import (
 
 // SnapshotVersion is the snapshot file format version; a file written by
 // a different version is rejected with a *MismatchError.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
-// MismatchError reports a snapshot written for a different configuration
-// than the server opening it: a format-version bump, or a changed shard
-// geometry (resharding a data directory would scramble the key->shard
-// mapping, so it must be an explicit migration, never a silent restart).
+// MismatchError reports a snapshot or WAL written for a different
+// configuration than the server opening it: a format-version bump, or a
+// changed shard geometry (resharding a data directory would scramble the
+// key->shard mapping, so it must be an explicit migration, never a
+// silent restart).
 type MismatchError struct {
 	Path  string
 	Field string // "version" or "fingerprint"

@@ -47,10 +47,9 @@ type CachedResp struct {
 }
 
 // SessionState is one session lease with everything needed to restore it:
-// the fairness slot, the lease geometry (TTL plus the absolute expiry the
-// sweeper re-arms from), holds, queued entries, and the response cache.
+// the lease geometry (TTL plus the absolute expiry the sweeper re-arms
+// from), holds, queued entries, and the response cache.
 type SessionState struct {
-	Slot   int          `json:"slot"`
 	TTLMS  int64        `json:"ttl_ms"`
 	Expiry int64        `json:"expiry"` // unix nanoseconds
 	Holds  []HoldState  `json:"holds,omitempty"`
@@ -91,7 +90,6 @@ type ShardState struct {
 // replay guarantees they agree.
 type State struct {
 	Epoch    uint64                   `json:"epoch"`
-	NextSlot int                      `json:"next_slot"`
 	Sessions map[string]*SessionState `json:"sessions"`
 	Shards   []*ShardState            `json:"shards"`
 }
@@ -108,7 +106,7 @@ func NewState(shards, wordsPerShard int) *State {
 // Clone deep-copies the state (the server installs from a clone so the
 // shadow can keep mutating).
 func (st *State) Clone() *State {
-	out := &State{Epoch: st.Epoch, NextSlot: st.NextSlot, Sessions: map[string]*SessionState{}}
+	out := &State{Epoch: st.Epoch, Sessions: map[string]*SessionState{}}
 	for id, s := range st.Sessions {
 		cp := *s
 		cp.Holds = append([]HoldState(nil), s.Holds...)
@@ -208,10 +206,7 @@ func (st *State) Apply(rec *Record) {
 	respCap := respCacheCapDefault
 	switch rec.Type {
 	case RecHello:
-		st.Sessions[rec.Session] = &SessionState{Slot: rec.Slot, TTLMS: rec.TTLMS, Expiry: rec.Expiry}
-		if rec.Slot+1 > st.NextSlot {
-			st.NextSlot = rec.Slot + 1
-		}
+		st.Sessions[rec.Session] = &SessionState{TTLMS: rec.TTLMS, Expiry: rec.Expiry}
 	case RecRenew:
 		if s := st.Sessions[rec.Session]; s != nil && rec.Expiry > s.Expiry {
 			s.Expiry = rec.Expiry

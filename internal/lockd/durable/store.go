@@ -84,8 +84,9 @@ func (s *Store) walPath() string  { return filepath.Join(s.dir, "wal.log") }
 // and replays the WAL on top, truncating a torn tail. It returns the
 // store positioned for appends plus a recovery summary. Typed failures:
 // *MismatchError for a snapshot from a different geometry or format
-// version, *CorruptError for an unreadable snapshot or a WAL that is not
-// a WAL at all (torn or bit-flipped WAL tails are truncated, not fatal).
+// version or a WAL of another format version (either is left as it is),
+// *CorruptError for an unreadable snapshot or a WAL that is not a WAL at
+// all (torn or bit-flipped WAL tails are truncated, not fatal).
 func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	opts.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -102,22 +103,20 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 		st = NewState(opts.Shards, opts.WordsPerShard)
 	}
 
-	recs, torn, tornReason, err := replayWAL(s.walPath())
+	lsn := lastLSN
+	torn, tornReason, err := replayWAL(s.walPath(), func(rec *Record) {
+		if rec.LSN <= lastLSN {
+			return // already folded into the snapshot
+		}
+		st.Apply(rec)
+		lsn = max(lsn, rec.LSN)
+		info.Replayed++
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	info.TornBytes, info.TornReason = torn, tornReason
-	s.lsn = lastLSN
-	for _, rec := range recs {
-		if rec.LSN <= lastLSN {
-			continue // already folded into the snapshot
-		}
-		st.Apply(rec)
-		if rec.LSN > s.lsn {
-			s.lsn = rec.LSN
-		}
-		info.Replayed++
-	}
+	s.lsn = lsn
 	s.st = st
 	info.Epoch = st.Epoch
 	info.Sessions = len(st.Sessions)

@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -34,9 +37,15 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return "", fmt.Errorf("durable: unknown fsync policy %q (want always, interval, or never)", s)
 }
 
-// walMagic opens every WAL file; a file that does not start with it is
-// rejected as corrupt rather than misparsed as frames.
-const walMagic = "rwlockd-wal\x01\n"
+// walMagic opens every WAL file: walMagicName, the format version byte
+// (walVersion), then a newline. A file with another version byte is
+// rejected with a *MismatchError; a file that does not start with the
+// name is rejected as corrupt rather than misparsed as frames.
+const (
+	walMagicName = "rwlockd-wal"
+	walVersion   = 2
+	walMagic     = walMagicName + string(rune(walVersion)) + "\n"
+)
 
 // wal is the append side of the log: one file, direct (unbuffered)
 // writes, fsync per policy.
@@ -167,38 +176,59 @@ func (w *wal) close(final bool) error {
 	return err
 }
 
-// replayWAL reads the log at path, applying torn-tail truncation: the
-// file is cut back to its longest valid prefix. It returns the decoded
-// records, the truncated byte count, and the typed reason when bytes were
-// dropped. A missing file is an empty log. A file too short to hold the
-// magic is a torn first write (truncated to empty); a file with the wrong
-// magic is corrupt — refusing to serve beats silently ignoring a log that
-// was probably damaged wholesale.
-func replayWAL(path string) (recs []*Record, torn int64, tornReason error, err error) {
-	buf, err := os.ReadFile(path)
+// replayWAL reads the log at path frame by frame, calling apply on each
+// decoded record (see ReadLog for what apply may keep), and applies
+// torn-tail truncation: the file is cut back to its longest valid prefix.
+// It returns the truncated byte count and the typed reason when bytes
+// were dropped. A missing file is an empty log. A file too short to hold
+// the magic is a torn first write (truncated to empty); a file written
+// by another WAL version is a typed *MismatchError and is left as it is;
+// a file with the wrong magic is corrupt — refusing to serve beats
+// silently ignoring a log that was probably damaged wholesale.
+func replayWAL(path string, apply func(*Record)) (torn int64, tornReason error, err error) {
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, 0, nil, nil
+			return 0, nil, nil
 		}
-		return nil, 0, nil, fmt.Errorf("durable: read WAL: %w", err)
+		return 0, nil, fmt.Errorf("durable: read WAL: %w", err)
 	}
-	if len(buf) < len(walMagic) {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, nil, fmt.Errorf("durable: stat WAL: %w", err)
+	}
+	r := bufio.NewReaderSize(f, 64<<10)
+	magic := make([]byte, len(walMagic))
+	if k, err := io.ReadFull(r, magic); err != nil {
+		if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+			return 0, nil, fmt.Errorf("durable: read WAL: %w", err)
+		}
 		if err := os.Truncate(path, 0); err != nil {
-			return nil, 0, nil, fmt.Errorf("durable: truncate torn WAL header: %w", err)
+			return 0, nil, fmt.Errorf("durable: truncate torn WAL header: %w", err)
 		}
-		return nil, int64(len(buf)), &ShortError{Offset: 0, Need: len(walMagic), Have: len(buf)}, nil
+		return int64(k), &ShortError{Offset: 0, Need: len(walMagic), Have: k}, nil
 	}
-	if string(buf[:len(walMagic)]) != walMagic {
-		return nil, 0, nil, &CorruptError{Offset: 0, Reason: "magic",
+	if string(magic) != walMagic {
+		name := len(walMagicName)
+		if string(magic[:name]) == walMagicName && magic[name+1] == '\n' {
+			return 0, nil, &MismatchError{Path: path, Field: "version",
+				Want: fmt.Sprint(walVersion), Got: fmt.Sprint(magic[name])}
+		}
+		return 0, nil, &CorruptError{Offset: 0, Reason: "magic",
 			Err: fmt.Errorf("%s is not an rwlockd WAL", path)}
 	}
-	body := buf[len(walMagic):]
-	recs, valid, scanErr := ReadLog(body)
+	valid, scanErr := ReadLog(r, apply)
 	if scanErr != nil {
-		torn = int64(len(body)) - valid
+		var se *ShortError
+		var ce *CorruptError
+		if !errors.As(scanErr, &se) && !errors.As(scanErr, &ce) {
+			return 0, nil, fmt.Errorf("durable: read WAL: %w", scanErr)
+		}
+		torn = fi.Size() - int64(len(walMagic)) - valid
 		if err := os.Truncate(path, int64(len(walMagic))+valid); err != nil {
-			return nil, 0, nil, fmt.Errorf("durable: truncate torn WAL tail: %w", err)
+			return 0, nil, fmt.Errorf("durable: truncate torn WAL tail: %w", err)
 		}
 	}
-	return recs, torn, scanErr, nil
+	return torn, scanErr, nil
 }

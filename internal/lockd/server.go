@@ -420,7 +420,7 @@ func (s *Server) handleConn(c net.Conn) {
 			ttl := s.clampTTL(req.TTLMS)
 			sess = s.sessions.create(ttl, now)
 			s.logAppend(&durable.Record{Type: durable.RecHello, Session: sess.id,
-				Slot: sess.slot, TTLMS: ttl.Milliseconds(), Expiry: sess.expiryUnixNano()})
+				TTLMS: ttl.Milliseconds(), Expiry: sess.expiryUnixNano()})
 			w.send(&wire.Response{Seq: req.Seq, OK: true, Session: sess.id,
 				TTLMS: ttl.Milliseconds(), Epoch: s.epoch.Load()})
 			continue

@@ -36,8 +36,7 @@ type holdKey struct {
 // reverse. The sweeper therefore snapshots holds and waiters under
 // session.mu first, releases it, and then revokes through the shards.
 type session struct {
-	id   string
-	slot int // stable small index, persisted with the session
+	id string
 
 	mu      sync.Mutex
 	ttl     time.Duration        // immutable after create/restore
@@ -200,9 +199,8 @@ func (s *session) isExpired() bool {
 
 // sessionTable holds every live session and drives lease expiry.
 type sessionTable struct {
-	mu       sync.Mutex
-	byID     map[string]*session //rwguard:mu
-	nextSlot int                 //rwguard:mu
+	mu   sync.Mutex
+	byID map[string]*session //rwguard:mu
 }
 
 func newSessionTable() *sessionTable {
@@ -219,7 +217,6 @@ func (t *sessionTable) create(ttl time.Duration, now time.Time) *session {
 	defer t.mu.Unlock()
 	s := &session{
 		id:        hex.EncodeToString(id),
-		slot:      t.nextSlot,
 		ttl:       ttl,
 		expiry:    now.Add(ttl),
 		holds:     map[holdKey]struct{}{},
@@ -228,7 +225,6 @@ func (t *sessionTable) create(ttl time.Duration, now time.Time) *session {
 		responses: map[uint64]*wire.Response{},
 	}
 	s.durableExpiry = s.expiry
-	t.nextSlot++
 	t.byID[s.id] = s
 	return s
 }
@@ -244,19 +240,15 @@ func (t *sessionTable) lookup(id string) *session {
 // restore rebuilds the table from recovered durable state. Holds and
 // queued entries were already fenced by the epoch bump; what survives a
 // restart is the lease itself (with its persisted absolute expiry, so the
-// sweeper re-arms exactly where it left off), the slot, and the
-// at-most-once response cache.
+// sweeper re-arms exactly where it left off) and the at-most-once
+// response cache.
 func (t *sessionTable) restore(st *durable.State) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st.NextSlot > t.nextSlot {
-		t.nextSlot = st.NextSlot
-	}
 	for _, id := range st.SessionIDs() {
 		ss := st.Sessions[id]
 		s := &session{
 			id:        id,
-			slot:      ss.Slot,
 			ttl:       time.Duration(ss.TTLMS) * time.Millisecond,
 			expiry:    time.Unix(0, ss.Expiry),
 			holds:     map[holdKey]struct{}{},
