@@ -1,10 +1,10 @@
 // Command rmrall regenerates the simulator experiment tables of
-// EXPERIMENTS.md from the experiments registry, E1-E15 except native
+// EXPERIMENTS.md from the experiments registry, E1-E16 except native
 // throughput (E7, cmd/rwbench). Every table checks the claims it shows:
-// the command exits 1 if one fails (the property matrix E6 and the fault
-// tables E13-E15 are the pass/fail gates).
+// the command exits 1 if one fails (E6, E13-E15 and the model check E16
+// are the pass/fail gates; rwtrace -path replays an E16 violation).
 //
-// The fault sweeps are crash-safe: with -checkpoint FILE completed sweep
+// The fault sweeps and E16 are crash-safe: with -checkpoint FILE completed
 // rows are recorded durably, SIGINT/SIGTERM stops the sweep cooperatively
 // (exit status 3), and -resume picks up where the interrupted run stopped
 // with byte-identical final output. See also -keep-going and -row-timeout.

@@ -74,7 +74,7 @@ func TestUnknownNameExits2(t *testing.T) {
 	if out != "" {
 		t.Errorf("printed tables before rejecting the list:\n%s", out)
 	}
-	for _, want := range []string{`"E99"`, "E1,E2,E3a,E3b,E4,E5,E6,E8,E9,E10,E11,E12,E13,E14,E15"} {
+	for _, want := range []string{`"E99"`, "E1,E2,E3a,E3b,E4,E5,E6,E8,E9,E10,E11,E12,E13,E14,E15,E16"} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("stderr %q missing %q", errOut, want)
 		}
@@ -83,8 +83,8 @@ func TestUnknownNameExits2(t *testing.T) {
 
 // gatePasses runs the named tables on their full grids and checks that
 // every gate holds (exit 0), that each wanted line or column is printed,
-// and that no cell reports a failure.
-func gatePasses(t *testing.T, names string, want ...string) {
+// and that no cell reports a failure. It returns the output.
+func gatePasses(t *testing.T, names string, want ...string) string {
 	t.Helper()
 	out, errOut, code := rmrall(t, "-e", names)
 	if code != 0 {
@@ -98,6 +98,7 @@ func gatePasses(t *testing.T, names string, want ...string) {
 	if strings.Contains(out, "FAIL") {
 		t.Errorf("%s reported failures:\n%s", names, out)
 	}
+	return out
 }
 
 // TestE6Passes runs the property matrix over seeds 1-5: Mutual
@@ -136,30 +137,50 @@ func TestE15StallSweep(t *testing.T) {
 		"sampled crash+stall mixed sweep")
 }
 
-// TestInterruptResume drives a checkpointed E15 run that stops after 25
-// rows as if interrupted: it must exit 3 and say it is resumable, and
-// -resume must then print exactly what an uninterrupted serial run does.
+// TestE16ModelCheck runs the exhaustive model check of every published
+// algorithm at n=1, m=1; every schedule tree must be exhausted.
+func TestE16ModelCheck(t *testing.T) {
+	out := gatePasses(t, "E16", "=== E16:", "algorithm", "schedules", "max depth", "complete")
+	rows := regexp.MustCompile(`(?m)^(af-|centralized|flag-array|faa-phasefair).*$`).FindAllString(out, -1)
+	if len(rows) != 8 {
+		t.Fatalf("%d algorithm rows, want 8:\n%s", len(rows), out)
+	}
+	for _, r := range rows {
+		if !strings.HasSuffix(r, " yes") {
+			t.Errorf("row not exhausted: %q", r)
+		}
+	}
+}
+
+// TestInterruptResume drives checkpointed runs that stop as if
+// interrupted, E15 after 25 sweep rows and E16 after one schedule
+// subtree: each must exit 3 and say it is resumable, and -resume must
+// then print exactly what an uninterrupted serial run does.
 func TestInterruptResume(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	_, errOut, code := rmrall(t, "-e", "E15", "-parallel", "2", "-checkpoint", ck, "-interrupt-after", "25")
-	if code != 3 {
-		t.Fatalf("interrupted run exited %d, want 3: %s", code, errOut)
-	}
-	if !strings.Contains(errOut, "resumable, rerun with -resume") {
-		t.Errorf("interrupted run did not advertise resumability: %s", errOut)
-	}
-	if fi, err := os.Stat(ck); err != nil || fi.Size() == 0 {
-		t.Fatalf("no checkpoint was flushed: %v", err)
-	}
-	resumed, errOut, code := rmrall(t, "-e", "E15", "-parallel", "2", "-checkpoint", ck, "-resume")
-	if code != 0 {
-		t.Fatalf("resumed run exited %d: %s", code, errOut)
-	}
-	serial, errOut, code := rmrall(t, "-e", "E15", "-parallel", "1")
-	if code != 0 {
-		t.Fatalf("serial run exited %d: %s", code, errOut)
-	}
-	if resumed != serial {
-		t.Errorf("resumed output differs from the uninterrupted serial run:\n--- resumed\n%s\n--- serial\n%s", resumed, serial)
+	for _, tc := range []struct{ table, after string }{{"E15", "25"}, {"E16", "1"}} {
+		t.Run(tc.table, func(t *testing.T) {
+			ck := filepath.Join(t.TempDir(), "ck.json")
+			_, errOut, code := rmrall(t, "-e", tc.table, "-parallel", "2", "-checkpoint", ck, "-interrupt-after", tc.after)
+			if code != 3 {
+				t.Fatalf("interrupted run exited %d, want 3: %s", code, errOut)
+			}
+			if !strings.Contains(errOut, "resumable, rerun with -resume") {
+				t.Errorf("interrupted run did not advertise resumability: %s", errOut)
+			}
+			if fi, err := os.Stat(ck); err != nil || fi.Size() == 0 {
+				t.Fatalf("no checkpoint was flushed: %v", err)
+			}
+			resumed, errOut, code := rmrall(t, "-e", tc.table, "-parallel", "2", "-checkpoint", ck, "-resume")
+			if code != 0 {
+				t.Fatalf("resumed run exited %d: %s", code, errOut)
+			}
+			serial, errOut, code := rmrall(t, "-e", tc.table, "-parallel", "1")
+			if code != 0 {
+				t.Fatalf("serial run exited %d: %s", code, errOut)
+			}
+			if resumed != serial {
+				t.Errorf("resumed output differs from the uninterrupted serial run:\n--- resumed\n%s\n--- serial\n%s", resumed, serial)
+			}
+		})
 	}
 }

@@ -85,36 +85,6 @@ type config struct {
 	serverCrashRate float64
 }
 
-// ledger tracks every observed write passage token per key. A token seen
-// twice is a duplicated passage — an at-most-once violation.
-type ledger struct {
-	mu     sync.Mutex
-	tokens map[string]map[uint64]int
-	dups   int
-}
-
-func (l *ledger) recordWrite(key string, token uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.tokens[key] == nil {
-		l.tokens[key] = map[uint64]int{}
-	}
-	l.tokens[key][token]++
-	if l.tokens[key][token] > 1 {
-		l.dups++
-	}
-}
-
-func (l *ledger) unique() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var n uint64
-	for _, m := range l.tokens {
-		n += uint64(len(m))
-	}
-	return n
-}
-
 // counters aggregates worker outcomes; latencies are per-op acquire
 // latencies for successful grants.
 type counters struct {
@@ -220,7 +190,7 @@ func run(cfg config, out io.Writer) (int, error) {
 		return 2, fmt.Errorf("-server-crash-rate needs -server-bin (rwload must own the process it kills)")
 	}
 
-	led := &ledger{tokens: map[string]map[uint64]int{}}
+	var led lockd.Ledger
 	cnt := &counters{}
 	deadline := time.Now().Add(cfg.dur)
 
@@ -256,7 +226,7 @@ func run(cfg config, out io.Writer) (int, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			runWorker(id, cfg, mix, deadline, led, cnt)
+			runWorker(id, cfg, mix, deadline, &led, cnt)
 		}(i)
 	}
 	wg.Wait()
@@ -297,8 +267,8 @@ func run(cfg config, out io.Writer) (int, error) {
 		}
 	}
 
-	if led.dups > 0 {
-		fmt.Fprintf(out, "rwload: LEDGER VIOLATION: %d duplicated write passages\n", led.dups)
+	if dups := led.Counts().Dups; dups > 0 {
+		fmt.Fprintf(out, "rwload: LEDGER VIOLATION: %d duplicated write passages\n", dups)
 		return 1, nil
 	}
 
@@ -328,13 +298,9 @@ func run(cfg config, out io.Writer) (int, error) {
 	}
 	grants -= baseGrants
 	revokedW -= baseRevokedW
-	observed := led.unique()
-	lost := int64(grants) - int64(observed) - int64(revokedW)
-	if lost < 0 {
-		lost = 0 // a revoked hold whose token we also observed counts twice
-	}
+	lost := led.Lost(grants, revokedW)
 	fmt.Fprintf(out, "rwload: ledger: unique-write-passages=%d dup=0 server-grants=%d revoked-write=%d lost=%d\n",
-		observed, grants, revokedW, lost)
+		led.Counts().Unique, grants, revokedW, lost)
 	fmt.Fprintf(out, "rwload: fairness: max-reader-bypass=%d max-writer-bypass=%d shards=%d\n",
 		maxRB, maxWB, len(st.Shards))
 	for i, sh := range st.Shards {
@@ -357,7 +323,7 @@ func run(cfg config, out io.Writer) (int, error) {
 // runWorker is one simulated client: dial, run passages until the
 // deadline, retry with exponential backoff + jitter on contention, and
 // reconnect (a fresh session) on connection or lease loss.
-func runWorker(id int, cfg config, mix mixSpec, deadline time.Time, led *ledger, cnt *counters) {
+func runWorker(id int, cfg config, mix mixSpec, deadline time.Time, led *lockd.Ledger, cnt *counters) {
 	rng := rand.New(rand.NewSource(cfg.seed + int64(id)))
 	opts := lockd.Options{TTL: cfg.ttl}
 	if cfg.chaos.Enabled() {
@@ -426,7 +392,7 @@ func runWorker(id int, cfg config, mix mixSpec, deadline time.Time, led *ledger,
 		if err == nil {
 			cnt.grant(mode, time.Since(t0))
 			if mode == lockd.ModeWrite {
-				led.recordWrite(key, h.Passage)
+				led.ObserveWrite(key, h.Passage)
 			}
 			if cfg.hold > 0 {
 				time.Sleep(cfg.hold)

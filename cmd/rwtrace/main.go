@@ -3,9 +3,14 @@
 // RMR accounts — the debugging view for any of the repository's
 // algorithms.
 //
+// A seeded random scheduler picks the interleaving, or -path replays a
+// choice path (as rmrall -e E16 reports a violation): the i-th number
+// picks among the processes poised at step i, in ascending id order, and
+// first choices follow once the path is used up.
+//
 // Usage:
 //
-//	rwtrace [-alg af-log] [-n 3] [-m 1] [-rp 1] [-wp 1] [-seed 7]
+//	rwtrace [-alg af-log] [-n 3] [-m 1] [-rp 1] [-wp 1] [-seed 7 | -path 0,1,0,...]
 //	        [-protocol wt|wb|dsm] [-events 80] [-hide-sections]
 package main
 
@@ -13,11 +18,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/memmodel"
+	"repro/internal/explore"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -26,20 +33,31 @@ import (
 	"repro/internal/tracefmt"
 )
 
+// config is one rwtrace invocation; seedSet reports that -seed was given.
+type config struct {
+	alg, path, protocol     string
+	n, m, rp, wp, maxEvents int
+	seed                    int64
+	seedSet, hideSections   bool
+}
+
 func main() {
-	algFlag := flag.String("alg", "af-log", "algorithm name")
-	n := flag.Int("n", 3, "readers")
-	m := flag.Int("m", 1, "writers")
-	rp := flag.Int("rp", 1, "passages per reader")
-	wp := flag.Int("wp", 1, "passages per writer")
-	seed := flag.Int64("seed", 7, "random scheduler seed")
-	protoFlag := flag.String("protocol", "wt", "wt, wb or dsm")
-	events := flag.Int("events", 80, "max events to print (tail kept)")
-	hideSections := flag.Bool("hide-sections", false, "omit section transitions")
+	var c config
+	flag.StringVar(&c.alg, "alg", "af-log", "algorithm name")
+	flag.IntVar(&c.n, "n", 3, "readers")
+	flag.IntVar(&c.m, "m", 1, "writers")
+	flag.IntVar(&c.rp, "rp", 1, "passages per reader")
+	flag.IntVar(&c.wp, "wp", 1, "passages per writer")
+	flag.Int64Var(&c.seed, "seed", 7, "random scheduler seed")
+	flag.StringVar(&c.path, "path", "", "replay this comma-separated scheduler choice path (as E16 prints it) instead of a seeded schedule")
+	flag.StringVar(&c.protocol, "protocol", "wt", "wt, wb or dsm")
+	flag.IntVar(&c.maxEvents, "events", 80, "max events to print (tail kept)")
+	flag.BoolVar(&c.hideSections, "hide-sections", false, "omit section transitions")
 	flag.Parse()
 	cliutil.NoArgs(flag.CommandLine)
+	flag.Visit(func(f *flag.Flag) { c.seedSet = c.seedSet || f.Name == "seed" })
 
-	if err := run(*algFlag, *n, *m, *rp, *wp, *seed, *protoFlag, *events, *hideSections); err != nil {
+	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "rwtrace:", err)
 		os.Exit(1)
 	}
@@ -58,31 +76,44 @@ func parseProtocol(s string) (sim.Protocol, error) {
 	}
 }
 
-func run(alg string, n, m, rp, wp int, seed int64, protocol string, maxEvents int, hideSections bool) error {
-	var fac *experiments.Factory
-	for _, f := range experiments.ExtendedFactories() {
-		if f.Name == alg {
-			f := f
-			fac = &f
-			break
-		}
-	}
-	if fac == nil {
-		return fmt.Errorf("unknown algorithm %q", alg)
-	}
-	proto, err := parseProtocol(protocol)
+func run(c config) error {
+	facs, err := experiments.FactoriesNamed(c.alg)
 	if err != nil {
 		return err
 	}
+	proto, err := parseProtocol(c.protocol)
+	if err != nil {
+		return err
+	}
+	sc := spec.Scenario{
+		NReaders: c.n, NWriters: c.m,
+		ReaderPassages: c.rp, WriterPassages: c.wp,
+		Protocol: proto,
+	}
 
-	var rec trace.Recorder
-	rep := spec.Run(fac.New(), spec.Scenario{
-		NReaders: n, NWriters: m,
-		ReaderPassages: rp, WriterPassages: wp,
-		Protocol:  proto,
-		Scheduler: sched.NewRandom(seed),
-		Observer:  rec.Observe,
-	})
+	var rep *spec.Report
+	var events []trace.Event
+	switch {
+	case c.path == "":
+		var rec trace.Recorder
+		sc.Scheduler, sc.Observer = sched.NewRandom(c.seed), rec.Observe
+		rep = spec.Run(facs[0].New(), sc)
+		events = rec.Events()
+	case c.seedSet:
+		return fmt.Errorf("-path replays a fixed schedule and cannot be combined with -seed")
+	default:
+		var path []int
+		for _, f := range strings.Split(c.path, ",") {
+			choice, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				return fmt.Errorf("-path %q: %q is not a choice index", c.path, f)
+			}
+			path = append(path, choice)
+		}
+		if rep, events, err = explore.Replay(facs[0].New, sc, path); err != nil {
+			return err
+		}
+	}
 	fmt.Printf("%s: %s — %d steps", rep.Algorithm, rep.Scenario, rep.Steps)
 	if rep.OK() {
 		fmt.Println(", no violations")
@@ -91,45 +122,23 @@ func run(alg string, n, m, rp, wp int, seed int64, protocol string, maxEvents in
 	}
 
 	table := tablefmt.New("process", "role", "total RMR", "steps", "worst passage RMR")
-	for rid, acct := range rep.ReaderAccounts {
+	for id, acct := range slices.Concat(rep.ReaderAccounts, rep.WriterAccounts) {
+		role := "reader"
+		if id >= c.n {
+			role = "writer"
+		}
 		mx := acct.MaxPassage()
-		table.AddRow(fmt.Sprintf("p%d", rid), "reader",
-			tablefmt.Itoa(acct.TotalRMR), tablefmt.Itoa(acct.TotalSteps),
-			tablefmt.Itoa(mx.EntryRMR+mx.CSRMR+mx.ExitRMR))
-	}
-	for wid, acct := range rep.WriterAccounts {
-		mx := acct.MaxPassage()
-		table.AddRow(fmt.Sprintf("p%d", n+wid), "writer",
+		table.AddRow(fmt.Sprintf("p%d", id), role,
 			tablefmt.Itoa(acct.TotalRMR), tablefmt.Itoa(acct.TotalSteps),
 			tablefmt.Itoa(mx.EntryRMR+mx.CSRMR+mx.ExitRMR))
 	}
 	fmt.Println(table)
 
-	fmt.Println(tracefmt.Render(rec.Events(), tracefmt.Options{
-		NumProcs:     n + m,
-		MaxEvents:    maxEvents,
-		HideSections: hideSections,
-		VarName: func(v memmodel.Var) string {
-			if int(v) < len(rep.VarNames) {
-				return rep.VarNames[v]
-			}
-			return fmt.Sprintf("v%d", v)
-		},
-		ValueFormat: func(v memmodel.Var, val uint64) string {
-			name := ""
-			if int(v) < len(rep.VarNames) {
-				name = rep.VarNames[v]
-			}
-			switch {
-			case strings.HasPrefix(name, "C[") || strings.HasPrefix(name, "W["):
-				return fmt.Sprintf("%d", memmodel.VerSumSum(val))
-			case name == "RSIG" || strings.HasPrefix(name, "WSIG"):
-				seq, op := memmodel.UnpackSig(val)
-				return fmt.Sprintf("<%d,%d>", seq, op)
-			default:
-				return fmt.Sprintf("%d", val)
-			}
-		},
+	fmt.Println(tracefmt.Render(events, tracefmt.Options{
+		NumProcs:     c.n + c.m,
+		MaxEvents:    c.maxEvents,
+		HideSections: c.hideSections,
+		VarNames:     rep.VarNames,
 	}))
 	return nil
 }

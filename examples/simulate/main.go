@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/memmodel"
@@ -105,20 +104,9 @@ func main() {
 	if len(events) > 30 {
 		events = events[:30]
 	}
-	fmt.Println(tracefmt.Render(events, tracefmt.Options{
-		NumProcs: nReaders + nWriters,
-		VarName:  func(v memmodel.Var) string { return r.VarName(v) },
-		ValueFormat: func(v memmodel.Var, val uint64) string {
-			name := r.VarName(v)
-			switch {
-			case strings.HasPrefix(name, "C[") || strings.HasPrefix(name, "W["):
-				return fmt.Sprintf("%d", memmodel.VerSumSum(val)) // packed <ver, sum>
-			case name == "RSIG" || strings.HasPrefix(name, "WSIG"):
-				seq, op := memmodel.UnpackSig(val)
-				return fmt.Sprintf("<%d,%d>", seq, op)
-			default:
-				return fmt.Sprintf("%d", val)
-			}
-		},
-	}))
+	names := make([]string, r.NumVars())
+	for v := range names {
+		names[v] = r.VarName(memmodel.Var(v))
+	}
+	fmt.Println(tracefmt.Render(events, tracefmt.Options{NumProcs: nReaders + nWriters, VarNames: names}))
 }

@@ -1,5 +1,5 @@
 // Robust-sweep flags: the -checkpoint/-resume/-keep-going/-row-timeout
-// surface shared by rmrall and rwexplore. Like ParallelFlag, the flags
+// surface of rmrall's sweeps and model check. Like ParallelFlag, the flags
 // install a process-wide default (spec.SetDefaultRobust) so every sweep in
 // the invocation inherits the chosen behaviors.
 package cliutil

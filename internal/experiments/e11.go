@@ -31,17 +31,7 @@ type E11Row struct {
 // E11AdversaryValue compares adversarial and random worst cases for the
 // read/write/CAS algorithms.
 func E11AdversaryValue(ns []int, seeds []int64) ([]E11Row, *tablefmt.Table, error) {
-	facs := []Factory{}
-	for _, fac := range AFFactories() {
-		if fac.Name == "af-1" || fac.Name == "af-log" {
-			facs = append(facs, fac)
-		}
-	}
-	for _, fac := range BaselineFactories() {
-		if fac.Name == "centralized" {
-			facs = append(facs, fac)
-		}
-	}
+	facs := factories("af-1", "af-log", "centralized")
 
 	// Same known step-budget shape as E2's grid: the adversary cell over n
 	// processes is budgeted 200_000 + 4n^2 steps.

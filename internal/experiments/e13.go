@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baseline"
 	"repro/internal/memmodel"
 	"repro/internal/spec"
 	"repro/internal/tablefmt"
@@ -42,14 +41,7 @@ type E13CrashRow struct {
 // long lock-passing chains make the tiny sweep scenario dominated by the
 // substrate mutex rather than the RW protocol under study).
 func e13CrashAlgs() []Factory {
-	out := AFFactories()
-	out = append(out,
-		Factory{Name: "centralized", New: func() memmodel.Algorithm { return baseline.NewCentralized() }},
-		Factory{Name: "flag-array", New: func() memmodel.Algorithm { return baseline.NewFlagArray() }},
-		Factory{Name: "faa-phasefair", New: func() memmodel.Algorithm { return baseline.NewPhaseFair() }},
-		Factory{Name: "mutex-rw", New: func() memmodel.Algorithm { return baseline.NewMutexRW() }},
-	)
-	return out
+	return append(AFFactories(), factories("centralized", "flag-array", "faa-phasefair", "mutex-rw")...)
 }
 
 // E13CrashSweep runs the exhaustive crash sweep for every algorithm and
@@ -153,9 +145,7 @@ type E13AbortRow struct {
 
 // e13TryAlgs returns the abortable-entry implementations under test.
 func e13TryAlgs() []Factory {
-	out := AFFactories()
-	out = append(out, Factory{Name: "centralized", New: func() memmodel.Algorithm { return baseline.NewCentralized() }})
-	return out
+	return append(AFFactories(), factories("centralized")...)
 }
 
 // E13AbortCost measures failed-attempt RMR costs across populations ns.

@@ -29,17 +29,7 @@ type E8Row struct {
 // E8ModelContrast measures the same low-contention workload under both
 // models for A_f (af-log) and the flag-array baseline.
 func E8ModelContrast(ns []int) ([]E8Row, *tablefmt.Table, error) {
-	facs := []Factory{}
-	for _, fac := range AFFactories() {
-		if fac.Name == "af-log" || fac.Name == "af-n" {
-			facs = append(facs, fac)
-		}
-	}
-	for _, fac := range BaselineFactories() {
-		if fac.Name == "flag-array" {
-			facs = append(facs, fac)
-		}
-	}
+	facs := factories("af-log", "af-n", "flag-array")
 
 	measure := func(fac Factory, n int, protocol sim.Protocol) (reader, writer int, err error) {
 		rep := spec.Run(fac.New(), spec.Scenario{

@@ -27,9 +27,13 @@
 //	E13 Crash-stop robustness and abortable entry.
 //	E14 Crash-recovery sweep over the recoverable locks.
 //	E15 Fail-slow stall sweeps and starvation accounting.
+//	E16 Exhaustive model checking of one reader against one writer.
 package experiments
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/fairness"
@@ -119,6 +123,31 @@ func BaselineFactories() []Factory {
 // AllFactories returns A_f members followed by baselines.
 func AllFactories() []Factory {
 	return append(AFFactories(), BaselineFactories()...)
+}
+
+// FactoriesNamed returns the ExtendedFactories entries with the given
+// names, in the order given. It errors on a name it does not know.
+func FactoriesNamed(names ...string) ([]Factory, error) {
+	all := ExtendedFactories()
+	var out []Factory
+	for _, name := range names {
+		i := slices.IndexFunc(all, func(f Factory) bool { return f.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown algorithm %q", name)
+		}
+		out = append(out, all[i])
+	}
+	return out, nil
+}
+
+// factories is FactoriesNamed for the experiments' fixed lists, where an
+// unknown name is a bug.
+func factories(names ...string) []Factory {
+	facs, err := FactoriesNamed(names...)
+	if err != nil {
+		panic(err)
+	}
+	return facs
 }
 
 // ExtendedFactories returns AllFactories plus the ablation variants

@@ -86,3 +86,13 @@ func TestGoldenE12(t *testing.T) {
 	}
 	checkGolden(t, "e12", table.String())
 }
+
+// TestGoldenE16 pins the exhaustive model-checking table on its full
+// grid: each algorithm's schedule count and maximum depth.
+func TestGoldenE16(t *testing.T) {
+	_, table, err := E16ModelCheck(factories("af-1", "af-log", "af-sqrt", "af-half", "af-n", "centralized", "flag-array", "faa-phasefair"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "e16", table.String())
+}

@@ -116,6 +116,12 @@ func Registry() []Entry {
 					{"sampled crash+stall mixed sweep (one crash victim + one stall victim per run)", mixed},
 				}, nil
 			}},
+		{"E16", "exhaustive model checking, n=1, m=1, one passage each",
+			func(quick bool) (fmt.Stringer, error) {
+				return table(E16ModelCheck(grid(quick,
+					append(AFFactories(), factories("centralized", "flag-array", "faa-phasefair")...),
+					factories("af-log", "centralized"))))
+			}},
 	}
 }
 

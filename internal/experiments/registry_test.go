@@ -8,7 +8,7 @@ import (
 // TestRegistryNames pins the registry to the simulator tables of
 // EXPERIMENTS.md (all but native E7), in order, with no duplicates.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"E1", "E2", "E3a", "E3b", "E4", "E5", "E6", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
+	want := []string{"E1", "E2", "E3a", "E3b", "E4", "E5", "E6", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"}
 	seen := map[string]bool{}
 	var got []string
 	for _, e := range Registry() {

@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/explore"
+	"repro/internal/memmodel"
+	"repro/internal/spec"
 )
 
 // checkVerdict requires err to be nil when want is empty, else an error
@@ -106,4 +112,54 @@ func TestE13AbortVerdict(t *testing.T) {
 			checkVerdict(t, e13AbortVerdict(tc.rows), tc.want)
 		})
 	}
+}
+
+// stuckWriter is a planted bug: its writer awaits a value nobody writes,
+// so every schedule ends in deadlock.
+type stuckWriter struct{ v memmodel.Var }
+
+func (s *stuckWriter) Name() string { return "stuck-writer" }
+func (s *stuckWriter) Init(a memmodel.Allocator, _, _ int) error {
+	s.v = a.Alloc("x", 0)
+	return nil
+}
+func (s *stuckWriter) ReaderEnter(p memmodel.Proc, _ int) { p.Write(s.v, 1) }
+func (s *stuckWriter) ReaderExit(p memmodel.Proc, _ int)  { p.Read(s.v) }
+func (s *stuckWriter) WriterEnter(p memmodel.Proc, _ int) {
+	p.Await(s.v, func(x uint64) bool { return x == 2 })
+}
+func (s *stuckWriter) WriterExit(p memmodel.Proc, _ int) { p.Read(s.v) }
+func (s *stuckWriter) Props() memmodel.Props             { return memmodel.Props{} }
+
+// TestE16Verdict plants a deadlocking lock in the E16 table: the error
+// must name the algorithm, its choice path and the rwtrace command that
+// replays it, and that path must replay the violation. A tree that was
+// not exhausted fails the table too.
+func TestE16Verdict(t *testing.T) {
+	mk := func() memmodel.Algorithm { return &stuckWriter{} }
+	_, _, err := E16ModelCheck([]Factory{{Name: "stuck-writer", New: mk}})
+	if err == nil {
+		t.Fatal("the planted deadlock passed E16")
+	}
+	m := regexp.MustCompile(`violation on choice path ([0-9,]+) \(replay: rwtrace -alg stuck-writer -n 1 -m 1 -path ([0-9,]+)\)`).
+		FindStringSubmatch(err.Error())
+	if m == nil || m[1] != m[2] {
+		t.Fatalf("error does not name the path and its rwtrace command: %v", err)
+	}
+	var path []int
+	for _, c := range strings.Split(m[1], ",") {
+		n, err := strconv.Atoi(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path = append(path, n)
+	}
+	rep, _, err := explore.Replay(mk, spec.Scenario{NReaders: 1, NWriters: 1, ReaderPassages: 1, WriterPassages: 1}, path)
+	if err != nil || rep.OK() {
+		t.Errorf("path %v does not replay the violation (replay error %v)", path, err)
+	}
+
+	checkVerdict(t, e16Verdict([]E16Row{{"af-log", explore.Result{Runs: 11375, MaxDepth: 26, Complete: true}}}), "")
+	checkVerdict(t, e16Verdict([]E16Row{{"courtois-w", explore.Result{Runs: 1_000_000, MaxDepth: 32}}}),
+		"E16 courtois-w: schedule tree not exhausted after 1000000 schedules")
 }

@@ -65,6 +65,9 @@ type replay struct {
 	// floor is the shallowest depth backtrack may advance; subtree
 	// explorations pin their root choice by setting it to 1.
 	floor int
+	// err records the first choice that named no poised process (the run
+	// goes on with first choices).
+	err error
 }
 
 func (r *replay) Name() string { return "explore-replay" }
@@ -79,10 +82,12 @@ func (r *replay) Next(_ int, poised []int) int {
 	}
 	r.counts[r.depth] = len(poised)
 	idx := r.path[r.depth]
-	if idx >= len(poised) {
-		// The tree shape changed under a fixed prefix: determinism broke.
-		panic(fmt.Sprintf("explore: choice %d out of %d poised at depth %d (nondeterministic execution?)",
-			idx, len(poised), r.depth))
+	if idx < 0 || idx >= len(poised) {
+		if r.err == nil {
+			r.err = fmt.Errorf("explore: choice %d at depth %d is out of range: %d processes are poised there (choices 0..%d)",
+				idx, r.depth, len(poised), len(poised)-1)
+		}
+		idx = 0
 	}
 	r.depth++
 	return poised[idx]
@@ -107,14 +112,19 @@ func (r *replay) backtrack() bool {
 
 // Replay re-executes the schedule identified by a choice path (e.g. a
 // Result's ViolationPath) and returns the spec report together with the
-// recorded trace, for rendering with internal/tracefmt.
-func Replay(newAlg func() memmodel.Algorithm, sc spec.Scenario, path []int) (*spec.Report, []trace.Event) {
+// recorded trace, for rendering with internal/tracefmt. Beyond the path
+// the run takes first choices. It errors if a choice names no poised
+// process or the run ends before the path does.
+func Replay(newAlg func() memmodel.Algorithm, sc spec.Scenario, path []int) (*spec.Report, []trace.Event, error) {
 	rs := &replay{path: append([]int(nil), path...)}
 	var rec trace.Recorder
 	sc.Scheduler = rs
 	sc.Observer = rec.Observe
 	rep := spec.Run(newAlg(), sc)
-	return rep, rec.Events()
+	if rs.err == nil && rs.depth < len(path) {
+		rs.err = fmt.Errorf("explore: the path has %d choices, but the run ended after %d", len(path), rs.depth)
+	}
+	return rep, rec.Events(), rs.err
 }
 
 // Algorithm exhaustively explores the scenario's schedule tree for the
@@ -201,9 +211,11 @@ func Algorithm(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config) (
 //
 // No cost hint: a subtree's size is the very thing exploration discovers
 // (a root choice may prune immediately or dominate the whole search), so
-// there is no known shape to seed LPT with. Work stealing is the whole
-// story here — a worker that drains its cheap subtrees steals from the
-// worker stuck under the heavy one.
+// there is no known shape to seed LPT with. Stealing moves whole
+// subtrees between workers, never part of one, so the largest subtree
+// bounds the speedup. The n=1, m=1 trees have as few root subtrees as
+// poised processes: af-log's two hold 4,637 and 6,738 schedules, so at
+// two workers each takes one and there is nothing to steal.
 func exploreSubtrees(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config, workers, roots int) ([]*Result, error) {
 	opt := parwork.Options{
 		Workers: workers,
@@ -241,6 +253,9 @@ func exploreSubtree(newAlg func() memmodel.Algorithm, sc spec.Scenario, k, maxRu
 		run := sc
 		run.Scheduler = rs
 		rep := spec.Run(newAlg(), run)
+		if rs.err != nil { // the tree changed under a fixed prefix
+			panic(fmt.Sprintf("%v (nondeterministic execution?)", rs.err))
+		}
 		res.Runs++
 		if rs.depth > res.MaxDepth {
 			res.MaxDepth = rs.depth

@@ -184,7 +184,8 @@ func TestRunCapRespected(t *testing.T) {
 }
 
 // TestReplayReproducesViolation: re-running the recorded choice path must
-// reproduce the identical violation and yield the trace.
+// reproduce the identical violation and yield the trace, and a path that
+// names no poised process must be an error naming its depth, not a panic.
 func TestReplayReproducesViolation(t *testing.T) {
 	sc := tinyScenario()
 	sc.CSReads = 1
@@ -196,7 +197,10 @@ func TestReplayReproducesViolation(t *testing.T) {
 	if res.Violation == "" {
 		t.Fatal("no violation found")
 	}
-	rep, events := Replay(mk, sc, res.ViolationPath)
+	rep, events, err := Replay(mk, sc, res.ViolationPath)
+	if err != nil {
+		t.Fatalf("replay of the explorer's own path: %v", err)
+	}
 	if rep.OK() {
 		t.Fatal("replay did not reproduce the violation")
 	}
@@ -205,5 +209,19 @@ func TestReplayReproducesViolation(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Error("replay produced no trace events")
+	}
+
+	bad := append(append([]int(nil), res.ViolationPath...), 0)
+	for _, tc := range []struct {
+		path []int
+		want string
+	}{
+		{[]int{2}, "choice 2 at depth 0 is out of range: 2 processes are poised"},
+		{[]int{0, -1}, "choice -1 at depth 1 is out of range"},
+		{bad, "the run ended after"},
+	} {
+		if _, _, err := Replay(mk, sc, tc.path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Replay(%v) error %v, want it to contain %q", tc.path, err, tc.want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -50,46 +51,6 @@ func TestChaosLeaseExpiryRegrant(t *testing.T) {
 	}
 }
 
-// chaosWorker runs acquire/hold/release cycles against srv through a
-// chaos dialer, reconnecting on session loss, and records every write
-// grant's fencing token.
-type chaosLedger struct {
-	mu     sync.Mutex
-	tokens map[string]map[uint64]int // key -> token -> observations
-	writes int
-	reads  int
-	dups   int
-}
-
-func (l *chaosLedger) recordWrite(key string, token uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.tokens[key] == nil {
-		l.tokens[key] = map[uint64]int{}
-	}
-	l.tokens[key][token]++
-	if l.tokens[key][token] > 1 {
-		l.dups++
-	}
-	l.writes++
-}
-
-func (l *chaosLedger) recordRead() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.reads++
-}
-
-func (l *chaosLedger) uniqueWrites() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, m := range l.tokens {
-		n += len(m)
-	}
-	return n
-}
-
 // TestChaosRetryConvergence floods a chaotic transport (drop, duplicate,
 // delay, disconnect on both directions) with concurrent clients and
 // checks the system converges: passages keep completing, no write passage
@@ -117,7 +78,11 @@ func TestChaosRetryConvergence(t *testing.T) {
 		runFor  = 2 * time.Second
 	)
 	keys := []string{"alpha", "beta", "gamma"}
-	ledger := &chaosLedger{tokens: map[string]map[uint64]int{}}
+	var ledger Ledger
+	var reads atomic.Int64
+	// passages picks the next key and mode from the passages completed
+	// so far.
+	passages := func() int { return int(ledger.Counts().Observed) + int(reads.Load()) }
 	deadline := time.Now().Add(runFor)
 
 	var wg sync.WaitGroup
@@ -147,18 +112,18 @@ func TestChaosRetryConvergence(t *testing.T) {
 					}
 					c = nc
 				}
-				key := keys[(id+ledgerLen(ledger))%len(keys)]
+				key := keys[(id+passages())%len(keys)]
 				mode := ModeRead
-				if (id+ledgerLen(ledger))%3 == 0 {
+				if (id+passages())%3 == 0 {
 					mode = ModeWrite
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 				h, err := c.Acquire(ctx, key, mode, 500*time.Millisecond)
 				if err == nil {
 					if mode == ModeWrite {
-						ledger.recordWrite(key, h.Passage)
+						ledger.ObserveWrite(key, h.Passage)
 					} else {
-						ledger.recordRead()
+						reads.Add(1)
 					}
 					h.Release(ctx) //nolint:errcheck // chaos may eat the ack; lease expiry cleans up
 					cancel()
@@ -181,11 +146,12 @@ func TestChaosRetryConvergence(t *testing.T) {
 	}
 	wg.Wait()
 
-	if ledger.dups != 0 {
-		t.Fatalf("duplicated write passages: %d (at-most-once violated)", ledger.dups)
+	counts := ledger.Counts()
+	if counts.Dups != 0 {
+		t.Fatalf("duplicated write passages: %d (at-most-once violated)", counts.Dups)
 	}
-	if ledger.writes == 0 || ledger.reads == 0 {
-		t.Fatalf("no convergence under chaos: %d writes, %d reads completed", ledger.writes, ledger.reads)
+	if counts.Observed == 0 || reads.Load() == 0 {
+		t.Fatalf("no convergence under chaos: %d writes, %d reads completed", counts.Observed, reads.Load())
 	}
 
 	// Let in-flight revocations settle, then reconcile the ledger over a
@@ -210,19 +176,12 @@ func TestChaosRetryConvergence(t *testing.T) {
 		grants += sh.WriteGrants
 		revokedW += sh.RevokedWrite
 	}
-	observed := uint64(ledger.uniqueWrites())
-	if lost := int64(grants) - int64(observed) - int64(revokedW); lost > 0 {
+	if lost := ledger.Lost(grants, revokedW); lost > 0 {
 		t.Fatalf("lost write passages: grants=%d observed=%d revoked=%d -> %d unaccounted",
-			grants, observed, revokedW, lost)
+			grants, counts.Unique, revokedW, lost)
 	}
 	t.Logf("chaos converged: %d reads, %d unique write passages, grants=%d revoked=%d",
-		ledger.reads, observed, grants, revokedW)
-}
-
-func ledgerLen(l *chaosLedger) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.writes + l.reads
+		reads.Load(), counts.Unique, grants, revokedW)
 }
 
 // TestChaosDuplicateTransport checks the dedup layer end to end under a

@@ -222,24 +222,7 @@ func TestLedgerAcrossServerCrashes(t *testing.T) {
 	srv := startDurable(t, "127.0.0.1:0", dir)
 	addr := srv.Addr().String()
 
-	var (
-		mu       sync.Mutex
-		tokens   = map[string]map[uint64]int{}
-		dups     int
-		observed uint64
-	)
-	record := func(key string, tok uint64) {
-		mu.Lock()
-		defer mu.Unlock()
-		if tokens[key] == nil {
-			tokens[key] = map[uint64]int{}
-		}
-		tokens[key][tok]++
-		if tokens[key][tok] > 1 {
-			dups++
-		}
-		observed++
-	}
+	var ledger Ledger
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -274,7 +257,7 @@ func TestLedgerAcrossServerCrashes(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 				h, err := c.Acquire(ctx, key, ModeWrite, 200*time.Millisecond)
 				if err == nil {
-					record(key, h.Passage)
+					ledger.ObserveWrite(key, h.Passage)
 					h.Release(ctx) //nolint:errcheck // lost acks are revoked by lease expiry
 					cancel()
 					continue
@@ -314,26 +297,20 @@ func TestLedgerAcrossServerCrashes(t *testing.T) {
 		revokedW += sh.RevokedWrite
 		fencedW += sh.FencedWrite
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if dups != 0 {
-		t.Fatalf("%d duplicated write passages across %d crashes", dups, crashes)
+	counts := ledger.Counts()
+	if counts.Dups != 0 {
+		t.Fatalf("%d duplicated write passages across %d crashes", counts.Dups, crashes)
 	}
-	var unique uint64
-	for _, m := range tokens {
-		unique += uint64(len(m))
-	}
-	lost := int64(grants) - int64(unique) - int64(revokedW)
-	if lost > 0 {
+	if lost := ledger.Lost(grants, revokedW); lost > 0 {
 		t.Fatalf("ledger lost %d write passages (grants=%d observed-unique=%d revoked-write=%d fenced-write=%d)",
-			lost, grants, unique, revokedW, fencedW)
+			lost, grants, counts.Unique, revokedW, fencedW)
 	}
-	if observed == 0 {
+	if counts.Observed == 0 {
 		t.Fatal("no passages completed under chaos")
 	}
 	if st.Epoch != uint64(1+crashes) {
 		t.Fatalf("final epoch = %d, want %d", st.Epoch, 1+crashes)
 	}
 	t.Logf("chaos gate: grants=%d unique-observed=%d revoked-write=%d fenced-write=%d epoch=%d",
-		grants, unique, revokedW, fencedW, st.Epoch)
+		grants, counts.Unique, revokedW, fencedW, st.Epoch)
 }

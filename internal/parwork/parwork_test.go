@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestDoIndexOrder(t *testing.T) {
@@ -112,5 +113,72 @@ func TestWorkersAndDefault(t *testing.T) {
 	SetDefault(-5)
 	if got := Default(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Default() after reset = %d", got)
+	}
+}
+
+// TestRowsRunTwoAtATime is an exact parallelism check: rows meet in
+// pairs, row 2k handing its index to row 2k+1 over an unbuffered
+// channel, so a 2-worker pool completes only if it runs two rows at once.
+// A row blocked on its partner yields its thread, so this holds at
+// GOMAXPROCS=1 too. A pool that runs one row at a time fails at the
+// deadline instead of hanging: the rows then give up and the pool drains.
+func TestRowsRunTwoAtATime(t *testing.T) {
+	const pairs = 4
+	for _, tc := range []struct {
+		name  string
+		procs int
+		run   func(job func(int) int) ([]int, error)
+	}{
+		{"Do", runtime.GOMAXPROCS(0), func(job func(int) int) ([]int, error) { return Do(2, 2*pairs, nil, job), nil }},
+		{"Do/GOMAXPROCS=1", 1, func(job func(int) int) ([]int, error) { return Do(2, 2*pairs, nil, job), nil }},
+		{"DoRobust/checkpointed", runtime.GOMAXPROCS(0), func(job func(int) int) ([]int, error) {
+			return DoRobust(Options{Workers: 2, Sink: newMemSink()}, 2*pairs, JSONCodec[int](),
+				noScope, noExit, func(_ struct{}, i int) int { return job(i) }, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			meet := make([]chan int, pairs)
+			for k := range meet {
+				meet[k] = make(chan int)
+			}
+			giveUp := make(chan struct{})
+			job := func(i int) int {
+				if i%2 == 0 {
+					select {
+					case meet[i/2] <- i:
+						return i
+					case <-giveUp:
+						return -1
+					}
+				}
+				select {
+				case v := <-meet[i/2]:
+					return v
+				case <-giveUp:
+					return -1
+				}
+			}
+			done := make(chan []int, 1)
+			go func() {
+				out, err := tc.run(job)
+				if err != nil {
+					t.Error(err)
+				}
+				done <- out
+			}()
+			select {
+			case got := <-done:
+				for i, v := range got {
+					if want := i &^ 1; v != want {
+						t.Errorf("row %d met %d, want %d", i, v, want)
+					}
+				}
+			case <-time.After(10 * time.Second):
+				close(giveUp)
+				<-done
+				t.Fatal("rows of a pair never ran at the same time: the pool ran one row at a time")
+			}
+		})
 	}
 }

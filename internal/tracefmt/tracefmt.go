@@ -1,8 +1,8 @@
 // Package tracefmt renders simulator traces as human-readable,
-// lane-per-process timelines. The explorer prints these for violating
-// schedules (a mutual-exclusion violation is much easier to understand as
-// a timeline than as a choice vector), and they make good debugging output
-// for any staged construction.
+// lane-per-process timelines. rwtrace prints these for seeded runs and
+// replayed choice paths (a mutual-exclusion violation E16 finds is much
+// easier to understand as a timeline than as a choice vector), and they
+// make good debugging output for any staged construction.
 //
 // Example output (one row per event, one column per process):
 //
@@ -31,12 +31,12 @@ type Options struct {
 	// NumProcs is the number of process lanes. Zero means infer from the
 	// events.
 	NumProcs int
-	// VarName resolves variable names; nil falls back to "v<N>".
-	VarName func(memmodel.Var) string
-	// ValueFormat renders a variable's value; nil falls back to decimal.
-	// Use it to unpack encoded words (e.g. <version, sum> counter nodes
-	// or <seq, opcode> signal pairs).
-	ValueFormat func(v memmodel.Var, val uint64) string
+	// VarNames names the variables by index (spec.Report.VarNames); a
+	// variable past its end prints as "v<N>". Values print in decimal,
+	// except the packed words named like A_f's: a counter node (C[..],
+	// W[..]) prints its sum and a signal word (RSIG, WSIG..) its
+	// <seq,op> pair.
+	VarNames []string
 	// HideSections suppresses section-transition rows.
 	HideSections bool
 	// MaxEvents truncates long traces (0 = no limit), keeping the tail,
@@ -52,15 +52,6 @@ func Render(events []trace.Event, opts Options) string {
 			nProcs = e.Proc + 1
 		}
 	}
-	varName := opts.VarName
-	if varName == nil {
-		varName = func(v memmodel.Var) string { return fmt.Sprintf("v%d", v) }
-	}
-	valFmt := opts.ValueFormat
-	if valFmt == nil {
-		valFmt = func(_ memmodel.Var, val uint64) string { return fmt.Sprintf("%d", val) }
-	}
-
 	truncated := 0
 	if opts.MaxEvents > 0 && len(events) > opts.MaxEvents {
 		truncated = len(events) - opts.MaxEvents
@@ -92,7 +83,7 @@ func Render(events []trace.Event, opts Options) string {
 		for p := 0; p < nProcs; p++ {
 			cell := ""
 			if p == e.Proc {
-				cell = cellFor(e, varName, valFmt)
+				cell = cellFor(e, opts.VarNames)
 			}
 			fmt.Fprintf(&b, "%-*s", laneWidth, cell)
 		}
@@ -101,10 +92,23 @@ func Render(events []trace.Event, opts Options) string {
 	return strings.TrimRight(b.String(), " \n") + "\n"
 }
 
-// cellFor renders one event's cell.
-func cellFor(e trace.Event, varName func(memmodel.Var) string, valFmt func(memmodel.Var, uint64) string) string {
-	name := varName(e.Var)
-	val := func(x uint64) string { return valFmt(e.Var, x) }
+// cellFor renders one event's cell, naming its variable from names.
+func cellFor(e trace.Event, names []string) string {
+	name := fmt.Sprintf("v%d", e.Var)
+	if int(e.Var) < len(names) {
+		name = names[e.Var]
+	}
+	val := func(x uint64) string {
+		switch {
+		case strings.HasPrefix(name, "C[") || strings.HasPrefix(name, "W["):
+			return fmt.Sprintf("%d", memmodel.VerSumSum(x))
+		case name == "RSIG" || strings.HasPrefix(name, "WSIG"):
+			seq, op := memmodel.UnpackSig(x)
+			return fmt.Sprintf("<%d,%d>", seq, op)
+		default:
+			return fmt.Sprintf("%d", x)
+		}
+	}
 	rmr := ""
 	if e.RMR {
 		rmr = "*"

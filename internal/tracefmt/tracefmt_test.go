@@ -1,6 +1,7 @@
 package tracefmt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -39,12 +40,14 @@ func TestRenderBasics(t *testing.T) {
 }
 
 func TestRenderVarNames(t *testing.T) {
-	names := map[memmodel.Var]string{0: "RSIG", 1: "C[0]", 2: "WSEQ"}
-	out := Render(sampleEvents(), Options{
-		VarName: func(v memmodel.Var) string { return names[v] },
-	})
+	out := Render(sampleEvents(), Options{VarNames: []string{"RSIG", "C[0]"}})
 	if !strings.Contains(out, "R C[0]=7*") || !strings.Contains(out, "CAS! RSIG") {
 		t.Errorf("variable names not applied:\n%s", out)
+	}
+	// Past the names a variable is v<N>; RSIG is decoded as a signal word.
+	seq, op := memmodel.UnpackSig(5)
+	if want := fmt.Sprintf("CAS! RSIG <0,0>-><%d,%d>", seq, op); !strings.Contains(out, want) || !strings.Contains(out, "F&A v2+=3=3") {
+		t.Errorf("output missing %q or the unnamed v2:\n%s", want, out)
 	}
 }
 
