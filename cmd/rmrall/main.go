@@ -95,7 +95,7 @@ func run(entries []experiments.Entry, quick bool) error {
 		fmt.Printf("=== %s: %s\n", e.Name, e.Title)
 		table, err := e.Run(quick)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
+			return err
 		}
 		fmt.Println(table)
 	}

@@ -157,7 +157,12 @@ func TestE16ModelCheck(t *testing.T) {
 // subtree: each must exit 3 and say it is resumable, and -resume must
 // then print exactly what an uninterrupted serial run does.
 func TestInterruptResume(t *testing.T) {
-	for _, tc := range []struct{ table, after string }{{"E15", "25"}, {"E16", "1"}} {
+	// Experiment errors start with their table name and rmrall adds no
+	// prefix of its own, so the table is named once.
+	for _, tc := range []struct{ table, after, prefix string }{
+		{"E15", "25", "rmrall: E15 af-1 "},
+		{"E16", "1", "rmrall: E16 af-log: sweep interrupted: "},
+	} {
 		t.Run(tc.table, func(t *testing.T) {
 			ck := filepath.Join(t.TempDir(), "ck.json")
 			_, errOut, code := rmrall(t, "-e", tc.table, "-parallel", "2", "-checkpoint", ck, "-interrupt-after", tc.after)
@@ -166,6 +171,9 @@ func TestInterruptResume(t *testing.T) {
 			}
 			if !strings.Contains(errOut, "resumable, rerun with -resume") {
 				t.Errorf("interrupted run did not advertise resumability: %s", errOut)
+			}
+			if first, _, _ := strings.Cut(errOut, "\n"); !strings.HasPrefix(first, tc.prefix) {
+				t.Errorf("interrupted run's first stderr line is %q, want it to start %q", first, tc.prefix)
 			}
 			if fi, err := os.Stat(ck); err != nil || fi.Size() == 0 {
 				t.Fatalf("no checkpoint was flushed: %v", err)

@@ -98,8 +98,8 @@ func run(args []string, sig <-chan os.Signal, onReady func(addr string), out, er
 	fmt.Fprintf(out, "rwlockd: listening on %s (shards=%d default-ttl=%v max-queue=%d)\n",
 		srv.Addr(), *shards, *ttl, *maxQueue)
 	if info := srv.RecoveryInfo(); info != nil {
-		fmt.Fprintf(out, "rwlockd: recovery: snapshot=%v replayed=%d records, %d sessions, %d holds, %d queued\n",
-			info.SnapshotLoaded, info.Replayed, info.Sessions, info.Holds, info.Queued)
+		fmt.Fprintf(out, "rwlockd: recovery: snapshot=%v replayed=%d records, %d sessions, %d holds\n",
+			info.SnapshotLoaded, info.Replayed, info.Sessions, info.Holds)
 		if info.TornBytes > 0 {
 			fmt.Fprintf(errOut, "rwlockd: recovery: truncated %d torn WAL bytes (%v)\n",
 				info.TornBytes, info.TornReason)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/sim"
@@ -34,7 +35,7 @@ type E12Row struct {
 func E12ShapeFits(ns []int) ([]E12Row, *tablefmt.Table, error) {
 	rows, _, err := E1Tradeoff(ns, sim.WriteThrough)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("E12: %w", err)
 	}
 	byF := map[string][]E1Row{}
 	order := []string{}

@@ -44,7 +44,7 @@ func E3MaxBound(ns []int) ([]E3NRow, *tablefmt.Table, error) {
 	rows, err := gridRows(AFFactories(), ns, nSquaredCost, func(fac Factory, n int) (E3NRow, error) {
 		res, err := lowerbound.Run(fac.New(), n, lowerbound.Config{})
 		if err != nil {
-			return E3NRow{}, fmt.Errorf("E3 %s n=%d: %w", fac.Name, n, err)
+			return E3NRow{}, fmt.Errorf("E3a %s n=%d: %w", fac.Name, n, err)
 		}
 		return E3NRow{
 			Alg:     fac.Name,
@@ -86,7 +86,7 @@ func E3WriterMutex(ms []int) ([]E3MRow, *tablefmt.Table, error) {
 			MaxSteps:  20_000_000,
 		})
 		if !rep.OK() {
-			return E3MRow{}, &RunError{Exp: "E3m", Alg: fac.Name, N: m, Detail: rep.Failures()}
+			return E3MRow{}, &RunError{Exp: "E3b", Alg: fac.Name, N: m, Detail: rep.Failures()}
 		}
 		return E3MRow{
 			Alg:           fac.Name,

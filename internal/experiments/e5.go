@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/tablefmt"
 )
@@ -24,11 +26,11 @@ type E5Row struct {
 func E5Protocols(ns []int) ([]E5Row, *tablefmt.Table, error) {
 	wt, _, err := E1Tradeoff(ns, sim.WriteThrough)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("E5: %w", err)
 	}
 	wb, _, err := E1Tradeoff(ns, sim.WriteBack)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("E5: %w", err)
 	}
 	if len(wt) != len(wb) {
 		return nil, nil, &RunError{Exp: "E5", Alg: "grid", Detail: "grid size mismatch"}

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// everyTypeRecords returns one record of each of the ten kinds, with
+// everyTypeRecords returns one record of each of the eight kinds, with
 // every field the server sets for that kind.
 func everyTypeRecords() []*Record {
 	return []*Record{
@@ -20,16 +20,14 @@ func everyTypeRecords() []*Record {
 		{LSN: 3, Type: RecRenew, Session: "3f9a0c21d4e5b687", Expiry: 1760000001123456789},
 		{LSN: 4, Type: RecGrant, Session: "3f9a0c21d4e5b687", Key: "k", Mode: "w", Shard: 3, Word: 300, Token: MakeToken(1, 42)},
 		{LSN: 5, Type: RecResp, Session: "3f9a0c21d4e5b687", Seq: 7, Resp: []byte(`{"seq":7,"ok":true,"passage":281474976710698}`)},
-		{LSN: 6, Type: RecEnqueue, Session: "3f9a0c21d4e5b687", Key: "k2", Mode: "r", Shard: 1, Word: 2},
-		{LSN: 7, Type: RecDequeue, Session: "3f9a0c21d4e5b687", Key: "k2", Mode: "r", Shard: 1, Word: 2},
-		{LSN: 8, Type: RecRelease, Session: "3f9a0c21d4e5b687", Key: "k", Mode: "w", Shard: 3, Word: 300},
-		{LSN: 9, Type: RecBye, Session: "3f9a0c21d4e5b687"},
-		{LSN: 10, Type: RecExpire, Session: "a"},
+		{LSN: 6, Type: RecRelease, Session: "3f9a0c21d4e5b687", Key: "k", Mode: "w", Shard: 3, Word: 300},
+		{LSN: 7, Type: RecBye, Session: "3f9a0c21d4e5b687"},
+		{LSN: 8, Type: RecExpire, Session: "a"},
 	}
 }
 
-// crashScript returns a seeded script of n records (n >= 10) that covers
-// all ten record kinds: the first ten are one of each kind in a seeded
+// crashScript returns a seeded script of n records (n >= 8) that covers
+// all eight record kinds: the first eight are one of each kind in a seeded
 // order, the rest are drawn at random over a few sessions, keys, shards
 // and words. Records that name missing sessions are kept on purpose:
 // Apply must account for them the same way on every path.
@@ -47,7 +45,7 @@ func crashScript(seed int64, n int) []*Record {
 		case RecRenew:
 			r.Expiry = 1_760_000_000_000_000_000 + rnd.Int63n(1e12)
 		case RecBye, RecExpire:
-		case RecGrant, RecRelease, RecEnqueue, RecDequeue:
+		case RecGrant, RecRelease:
 			r.Key = keys[rnd.Intn(len(keys))]
 			r.Mode = []string{"r", "w"}[rnd.Intn(2)]
 			r.Shard, r.Word = rnd.Intn(4), rnd.Intn(8)
@@ -69,9 +67,9 @@ func crashScript(seed int64, n int) []*Record {
 		out = append(out, rec(RecordType(i+1)))
 	}
 	// Weighted toward the kinds that build state, so later records find
-	// sessions, holds and queue entries to act on.
+	// sessions and holds to act on.
 	kinds := []RecordType{RecHello, RecHello, RecGrant, RecGrant, RecGrant, RecResp, RecResp,
-		RecRelease, RecRelease, RecEnqueue, RecDequeue, RecRenew, RecBye, RecExpire, RecEpoch}
+		RecRelease, RecRelease, RecRenew, RecBye, RecExpire, RecEpoch}
 	for len(out) < n {
 		out = append(out, rec(kinds[rnd.Intn(len(kinds))]))
 	}

@@ -35,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{LSN: 1, Type: RecHello, Session: "s1", TTLMS: 500, Expiry: 12345},
 		{LSN: 2, Type: RecGrant, Session: "s1", Key: "k", Mode: "w", Shard: 2, Word: 7, Token: MakeToken(1, 9)},
 		{LSN: 3, Type: RecResp, Session: "s1", Seq: 4, Resp: []byte(`{"seq":4,"ok":true}`)},
-		{LSN: 4, Type: RecEnqueue, Session: "s1", Key: "k", Mode: "r", Shard: -1, Word: -300, TTLMS: -5, Expiry: -1},
+		{LSN: 4, Type: RecRelease, Session: "s1", Key: "k", Mode: "r", Shard: -1, Word: -300, TTLMS: -5, Expiry: -1},
 		{LSN: 5, Type: RecEpoch, Epoch: 2},
 	}
 	var buf []byte
@@ -129,23 +129,20 @@ func TestApplyLifecycleAndLedger(t *testing.T) {
 	st.Apply(&Record{Type: RecHello, Session: "a", TTLMS: 100, Expiry: 50})
 	st.Apply(&Record{Type: RecHello, Session: "b", TTLMS: 100, Expiry: 60})
 	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k", Mode: "w", Shard: 1, Word: 2, Token: MakeToken(1, 5)})
-	st.Apply(&Record{Type: RecEnqueue, Session: "b", Key: "k", Mode: "w", Shard: 1})
 	if len(st.Sessions) != 2 || st.Sessions["b"].Expiry != 60 {
 		t.Fatalf("sessions after hello: %+v", st.Sessions)
 	}
 	if got := st.Shards[1].Words[2]; got != 5 {
 		t.Fatalf("word counter = %d, want 5", got)
 	}
-	holds, queued := st.HoldCount()
-	if holds != 1 || queued != 1 {
-		t.Fatalf("holds=%d queued=%d", holds, queued)
+	if holds := st.HoldCount(); holds != 1 {
+		t.Fatalf("holds=%d", holds)
 	}
 
-	// Release + dequeue drain cleanly.
+	// Release drains cleanly.
 	st.Apply(&Record{Type: RecRelease, Session: "a", Key: "k", Mode: "w", Shard: 1})
-	st.Apply(&Record{Type: RecDequeue, Session: "b", Key: "k", Mode: "w", Shard: 1})
-	if h, q := st.HoldCount(); h != 0 || q != 0 {
-		t.Fatalf("after release: holds=%d queued=%d", h, q)
+	if h := st.HoldCount(); h != 0 {
+		t.Fatalf("after release: holds=%d", h)
 	}
 	if st.Shards[1].Counters.Releases != 1 {
 		t.Fatalf("releases = %d", st.Shards[1].Counters.Releases)
@@ -166,8 +163,8 @@ func TestApplyLifecycleAndLedger(t *testing.T) {
 	if st.Epoch != 2 {
 		t.Fatalf("epoch = %d", st.Epoch)
 	}
-	if h, q := st.HoldCount(); h != 0 || q != 0 {
-		t.Fatalf("after epoch bump: holds=%d queued=%d", h, q)
+	if h := st.HoldCount(); h != 0 {
+		t.Fatalf("after epoch bump: holds=%d", h)
 	}
 	if st.Shards[0].Counters.Fenced != 1 {
 		t.Fatalf("fenced = %d", st.Shards[0].Counters.Fenced)
@@ -181,14 +178,14 @@ func TestApplyLifecycleAndLedger(t *testing.T) {
 func TestApplyRespCacheCapAndMaxSeq(t *testing.T) {
 	st := NewState(1, 1)
 	st.Apply(&Record{Type: RecHello, Session: "s"})
-	for i := 1; i <= respCacheCapDefault+10; i++ {
+	for i := 1; i <= RespCacheCap+10; i++ {
 		st.Apply(&Record{Type: RecResp, Session: "s", Seq: uint64(i), Resp: []byte(`{"ok":true}`)})
 	}
 	s := st.Sessions["s"]
-	if len(s.Resps) != respCacheCapDefault {
-		t.Fatalf("cache size %d, want %d", len(s.Resps), respCacheCapDefault)
+	if len(s.Resps) != RespCacheCap {
+		t.Fatalf("cache size %d, want %d", len(s.Resps), RespCacheCap)
 	}
-	if s.MaxSeq != uint64(respCacheCapDefault+10) {
+	if s.MaxSeq != uint64(RespCacheCap+10) {
 		t.Fatalf("MaxSeq = %d", s.MaxSeq)
 	}
 	if s.Resps[0].Seq != 11 {
@@ -232,8 +229,8 @@ func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 		t.Fatalf("bumped epoch %d, want 2", ep)
 	}
 	st := s2.State()
-	if h, q := st.HoldCount(); h != 0 || q != 0 {
-		t.Fatalf("post-bump holds=%d queued=%d", h, q)
+	if h := st.HoldCount(); h != 0 {
+		t.Fatalf("post-bump holds=%d", h)
 	}
 	if got := st.Shards[1].Words[3]; got != 42 {
 		t.Fatalf("restored word counter %d, want 42", got)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -36,6 +37,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameOf(append([]byte{byte(RecGrant), 0x81, 0x00}, body[2:]...)))
 	f.Add(frameOf(append([]byte{0xee}, body[1:]...)))
 	f.Add(frameOf(body[:len(body)-1]))
+	// The two type bytes past RecEpoch were resp and epoch in WAL
+	// version 2; here they are unknown kinds.
+	for typ := RecEpoch + 1; typ <= RecEpoch+2; typ++ {
+		f.Add(frameOf(append([]byte{byte(typ)}, body[1:]...)))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs, _, err := readAll(b)
 		if len(recs) == 0 {
@@ -126,7 +132,8 @@ func FuzzReadLog(f *testing.F) {
 // FuzzWALFileReplay drives replayWAL through arbitrary file contents:
 // every outcome is a typed fatal that leaves the file as it was (wrong
 // magic, or a WAL of another version), or a truncate-to-valid-prefix
-// recovery whose second replay is clean and torn-free.
+// recovery whose second replay is clean and torn-free. The version-2
+// fixture's WAL is a seed: it must be refused as another version.
 func FuzzWALFileReplay(f *testing.F) {
 	var log []byte
 	log = append(log, walMagic...)
@@ -136,6 +143,11 @@ func FuzzWALFileReplay(f *testing.F) {
 	f.Add([]byte("not a wal"))
 	v1 := append([]byte(walMagicName+"\x01\n"), log[len(walMagic):]...)
 	f.Add(v1)
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2", "wal.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		path := t.TempDir() + "/wal.log"
 		if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -143,6 +155,13 @@ func FuzzWALFileReplay(f *testing.F) {
 		}
 		n := 0
 		torn, tornReason, err := replayWAL(path, func(*Record) { n++ })
+		name := len(walMagicName)
+		if len(b) >= len(walMagic) && string(b[:name]) == walMagicName && b[name] != walVersion && b[name+1] == '\n' {
+			var me *MismatchError
+			if !errors.As(err, &me) {
+				t.Fatalf("a WAL of version %d: want *MismatchError, got %T %v", b[name], err, err)
+			}
+		}
 		if err != nil {
 			var ce *CorruptError
 			var me *MismatchError

@@ -9,8 +9,10 @@
 //
 // The durable state is the service's bookkeeping, not the lock algorithms:
 // session leases (with absolute expiry deadlines, so the lease sweeper
-// re-arms after a restart), held and queued lock entries, per-word
-// fencing counters, and the per-session at-most-once response caches.
+// re-arms after a restart), held lock entries, per-word fencing
+// counters, and the per-session at-most-once response caches. Queued
+// waiters are not logged: their connections never survive a restart, so
+// no restart could restore them.
 // Everything here is real concurrency (files, mutexes) by design and is
 // pinned outside the rwlint memdiscipline scope, like the rest of
 // internal/lockd.
@@ -41,25 +43,19 @@ const (
 	RecRenew
 	// RecBye removes a session cleanly (its holds were released first).
 	RecBye
-	// RecExpire removes a session whose lease lapsed, revoking its holds
-	// and queued entries.
+	// RecExpire removes a session whose lease lapsed, revoking its holds.
 	RecExpire
 	// RecGrant installs a hold and, for writes, advances the shard word's
 	// fencing counter to the token's counter part.
 	RecGrant
 	// RecRelease removes a hold.
 	RecRelease
-	// RecEnqueue / RecDequeue track queued waiters; replayed queue
-	// entries are cancelled by the next epoch bump (their connections
-	// did not survive the crash).
-	RecEnqueue
-	RecDequeue
 	// RecResp caches a completed request's response for at-most-once
 	// replay across a restart.
 	RecResp
-	// RecEpoch persists an epoch bump. Applying it fences every held and
-	// queued entry (counted as revoked), which is exactly the restart
-	// semantics: holds never cross an epoch boundary.
+	// RecEpoch persists an epoch bump. Applying it fences every hold
+	// (counted as revoked), which is exactly the restart semantics: holds
+	// never cross an epoch boundary.
 	RecEpoch
 )
 

@@ -10,7 +10,7 @@ import (
 
 // SnapshotVersion is the snapshot file format version; a file written by
 // a different version is rejected with a *MismatchError.
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
 // MismatchError reports a snapshot or WAL written for a different
 // configuration than the server opening it: a format-version bump, or a

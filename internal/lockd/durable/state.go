@@ -33,7 +33,7 @@ func TokenEpoch(tok uint64) uint64 { return tok >> counterBits }
 // TokenCounter extracts a token's per-key counter part.
 func TokenCounter(tok uint64) uint64 { return tok & counterMask }
 
-// HoldState is one held or queued lock entry.
+// HoldState is one held lock entry.
 type HoldState struct {
 	Key  string `json:"key"`
 	Mode string `json:"mode"`
@@ -48,12 +48,11 @@ type CachedResp struct {
 
 // SessionState is one session lease with everything needed to restore it:
 // the lease geometry (TTL plus the absolute expiry the sweeper re-arms
-// from), holds, queued entries, and the response cache.
+// from), holds, and the response cache.
 type SessionState struct {
 	TTLMS  int64        `json:"ttl_ms"`
 	Expiry int64        `json:"expiry"` // unix nanoseconds
 	Holds  []HoldState  `json:"holds,omitempty"`
-	Queued []HoldState  `json:"queued,omitempty"`
 	Resps  []CachedResp `json:"resps,omitempty"`
 	// MaxSeq is the highest request seq the session ever began; a
 	// resuming client continues its numbering above it so stale cache
@@ -110,7 +109,6 @@ func (st *State) Clone() *State {
 	for id, s := range st.Sessions {
 		cp := *s
 		cp.Holds = append([]HoldState(nil), s.Holds...)
-		cp.Queued = append([]HoldState(nil), s.Queued...)
 		cp.Resps = make([]CachedResp, len(s.Resps))
 		for i, r := range s.Resps {
 			cp.Resps[i] = CachedResp{Seq: r.Seq, Resp: append(json.RawMessage(nil), r.Resp...)}
@@ -125,12 +123,12 @@ func (st *State) Clone() *State {
 }
 
 // HoldCount totals held entries across sessions.
-func (st *State) HoldCount() (holds, queued int) {
+func (st *State) HoldCount() int {
+	n := 0
 	for _, s := range st.Sessions {
-		holds += len(s.Holds)
-		queued += len(s.Queued)
+		n += len(s.Holds)
 	}
-	return holds, queued
+	return n
 }
 
 // SessionIDs returns the session ids in sorted order (deterministic
@@ -170,11 +168,18 @@ func (sh *ShardState) bumpWord(word int, counter uint64) {
 	}
 }
 
-func removeHold(list []HoldState, key, mode string) ([]HoldState, bool) {
+func findHold(list []HoldState, key, mode string) (int, bool) {
 	for i, h := range list {
 		if h.Key == key && h.Mode == mode {
-			return append(list[:i], list[i+1:]...), true
+			return i, true
 		}
+	}
+	return -1, false
+}
+
+func removeHold(list []HoldState, key, mode string) ([]HoldState, bool) {
+	if i, ok := findHold(list, key, mode); ok {
+		return append(list[:i], list[i+1:]...), true
 	}
 	return list, false
 }
@@ -203,7 +208,6 @@ func (st *State) Apply(rec *Record) {
 	if rec == nil {
 		return
 	}
-	respCap := respCacheCapDefault
 	switch rec.Type {
 	case RecHello:
 		st.Sessions[rec.Session] = &SessionState{TTLMS: rec.TTLMS, Expiry: rec.Expiry}
@@ -220,9 +224,12 @@ func (st *State) Apply(rec *Record) {
 		}
 		delete(st.Sessions, rec.Session)
 	case RecExpire:
+		// Expire records carry no per-hold shard index; every consumer
+		// sums the counters across shards, so charging the revocations
+		// to the record's (zero) shard keeps the totals exact.
 		if s := st.Sessions[rec.Session]; s != nil {
 			for _, h := range s.Holds {
-				st.shard(shardOf(rec, h)).Counters.countRevoked(h.Mode, false)
+				st.shard(rec.Shard).Counters.countRevoked(h.Mode, false)
 			}
 		}
 		delete(st.Sessions, rec.Session)
@@ -252,18 +259,10 @@ func (st *State) Apply(rec *Record) {
 				st.shard(rec.Shard).Counters.Releases++
 			}
 		}
-	case RecEnqueue:
-		if s := st.Sessions[rec.Session]; s != nil {
-			s.Queued = append(s.Queued, HoldState{Key: rec.Key, Mode: rec.Mode})
-		}
-	case RecDequeue:
-		if s := st.Sessions[rec.Session]; s != nil {
-			s.Queued, _ = removeHold(s.Queued, rec.Key, rec.Mode)
-		}
 	case RecResp:
 		if s := st.Sessions[rec.Session]; s != nil {
 			s.Resps = append(s.Resps, CachedResp{Seq: rec.Seq, Resp: rec.Resp})
-			for len(s.Resps) > respCap {
+			for len(s.Resps) > RespCacheCap {
 				s.Resps = s.Resps[1:]
 			}
 			if rec.Seq > s.MaxSeq {
@@ -274,36 +273,24 @@ func (st *State) Apply(rec *Record) {
 		if rec.Epoch > st.Epoch {
 			st.Epoch = rec.Epoch
 		}
-		// An epoch bump fences every held and queued entry: holds never
-		// cross an epoch boundary (this is the no-double-grant argument —
-		// a pre-crash hold is revoked here, and its token's epoch is
-		// strictly dominated by every token the new epoch mints).
+		// An epoch bump fences every hold: holds never cross an epoch
+		// boundary (this is the no-double-grant argument — a pre-crash
+		// hold is revoked here, and its token's epoch is strictly
+		// dominated by every token the new epoch mints).
 		for _, id := range st.SessionIDs() {
 			s := st.Sessions[id]
 			for _, h := range s.Holds {
 				st.shard(0).Counters.countRevoked(h.Mode, true)
 			}
 			s.Holds = nil
-			s.Queued = nil
 		}
 	}
 }
 
-// shardOf resolves the shard index for a hold inside a session-level
-// record. Expire records carry no per-hold shard index; the counters are
-// aggregated across shards by every consumer, so attributing them to the
-// record's (zero) shard index keeps totals exact.
-func shardOf(rec *Record, _ HoldState) int { return rec.Shard }
-
-func findHold(list []HoldState, key, mode string) (int, bool) {
-	for i, h := range list {
-		if h.Key == key && h.Mode == mode {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// respCacheCapDefault mirrors lockd's per-session response cache bound; the
-// shadow enforces it so a snapshot cannot grow without bound.
-const respCacheCapDefault = 512
+// RespCacheCap bounds each session's at-most-once response cache, in the
+// server and in the shadow alike, so a snapshot cannot grow without
+// bound. A retransmit older than the cache window re-executes its
+// operation; with monotonically increasing client seqs and clients that
+// give up on a request long before 512 newer ones complete, that window
+// is never hit in practice.
+const RespCacheCap = 512

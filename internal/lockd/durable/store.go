@@ -53,12 +53,11 @@ type RecoveryInfo struct {
 	// ordinary torn write, a *CorruptError for a CRC/decode failure).
 	TornBytes  int64
 	TornReason error
-	// Epoch is the recovered (pre-bump) epoch; Sessions/Holds/Queued
-	// count the recovered state before fencing.
+	// Epoch is the recovered (pre-bump) epoch; Sessions/Holds count the
+	// recovered state before fencing.
 	Epoch    uint64
 	Sessions int
 	Holds    int
-	Queued   int
 }
 
 // Store is the durable side of one rwlockd data directory: the WAL, the
@@ -120,7 +119,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	s.st = st
 	info.Epoch = st.Epoch
 	info.Sessions = len(st.Sessions)
-	info.Holds, info.Queued = st.HoldCount()
+	info.Holds = st.HoldCount()
 
 	w, err := openWAL(s.walPath(), opts.Fsync, opts.FsyncInterval)
 	if err != nil {
@@ -135,13 +134,6 @@ func (s *Store) State() *State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.st.Clone()
-}
-
-// Epoch returns the shadow's current epoch.
-func (s *Store) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st.Epoch
 }
 
 // Append assigns the next LSN to rec, writes it to the WAL (syncing per
@@ -180,7 +172,7 @@ func (s *Store) append(rec *Record, sync bool) error {
 // BumpEpoch appends an epoch record for epoch+1 with an unconditional
 // fsync (the bump is the no-double-grant linchpin: it must be durable
 // before the first post-restart grant) and returns the new epoch. The
-// shadow apply fences every restored hold and queued entry.
+// shadow apply fences every restored hold.
 func (s *Store) BumpEpoch() (uint64, error) {
 	s.mu.Lock()
 	next := s.st.Epoch + 1

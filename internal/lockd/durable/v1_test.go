@@ -11,15 +11,24 @@ import (
 	"repro/internal/lockd/durable"
 )
 
-// TestV1DataDirRejected opens copies of testdata/v1, a WAL and a snapshot
-// written by the version-1 (JSON record) format with records of every
-// kind. Each file, alone and together, must be refused with a typed
-// *MismatchError on the version — not truncated as a torn log, not
-// replayed — by durable.Open and by lockd.New, and left byte-identical.
+// TestV1DataDirRejected opens copies of the data directories of older
+// formats: testdata/v1, a WAL and a snapshot of the version-1 (JSON
+// record) format with records of every kind, and testdata/v2, the binary
+// format of version 2 with its ten record kinds (enqueue and dequeue
+// among them, and a queued entry in the snapshot). Each file, alone and
+// together, must be refused with a typed *MismatchError on the version —
+// not truncated as a torn log, not replayed — by durable.Open and by
+// lockd.New, and left byte-identical.
 func TestV1DataDirRejected(t *testing.T) {
+	for _, version := range []string{"v1", "v2"} {
+		t.Run(version, func(t *testing.T) { checkRejected(t, filepath.Join("testdata", version)) })
+	}
+}
+
+func checkRejected(t *testing.T, fixture string) {
 	files := map[string][]byte{}
 	for _, name := range []string{"wal.log", "snapshot.json"} {
-		b, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+		b, err := os.ReadFile(filepath.Join(fixture, name))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,19 @@
 package lockd
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/lockd/durable"
+	"repro/internal/lockd/wire"
 )
 
 // startDurable builds and serves a durable server on addr, waiting for
@@ -208,6 +213,104 @@ func TestResumeContinuesSeqNumbering(t *testing.T) {
 	}
 	if err := h.Release(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueuedAcquireNotLogged: a queued waiter leaves nothing in the WAL,
+// because no restart could restore it. One session holds a key, a second
+// queues behind it and is granted on the release; the log must hold only
+// epoch, hello, grant, resp and release records, and a restart must
+// restore the same sessions, ledger counters and words.
+func TestQueuedAcquireNotLogged(t *testing.T) {
+	dir := t.TempDir()
+	srv := startDurable(t, "127.0.0.1:0", dir)
+	addr := srv.Addr().String()
+	ctx := context.Background()
+
+	var clients [2]*Client
+	for i := range clients {
+		c, err := Dial(ctx, addr, Options{TTL: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Abandon()
+		clients[i] = c
+	}
+	h, err := clients[0].Acquire(ctx, "k", ModeWrite, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	go func() {
+		h2, err := clients[1].Acquire(ctx, "k", ModeWrite, 5*time.Second)
+		if err == nil {
+			err = h2.Release(ctx)
+		}
+		queued <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := 0
+		for _, sh := range srv.Stats().Shards {
+			n += sh.Queued
+		}
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second acquire never queued")
+		}
+	}
+	if err := h.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-queued; err != nil {
+		t.Fatalf("queued acquire and its release: %v", err)
+	}
+
+	before := srv.Stats()
+	srv.Crash()
+	shadow := srv.store.State()
+
+	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[durable.RecordType]int{}
+	body := wal[bytes.IndexByte(wal, '\n')+1:]
+	if _, err := durable.ReadLog(bytes.NewReader(body), func(r *durable.Record) { kinds[r.Type]++ }); err != nil {
+		t.Fatalf("ReadLog: %v", err)
+	}
+	for k, n := range kinds {
+		switch k {
+		case durable.RecEpoch, durable.RecHello, durable.RecGrant, durable.RecResp, durable.RecRelease:
+		default:
+			t.Errorf("WAL holds %d records of kind %d", n, k)
+		}
+	}
+	if kinds[durable.RecGrant] != 2 || kinds[durable.RecRelease] != 2 {
+		t.Errorf("WAL holds %d grants and %d releases, want 2 and 2", kinds[durable.RecGrant], kinds[durable.RecRelease])
+	}
+
+	srv2 := startDurable(t, addr, dir)
+	defer srv2.Close()
+	restored := srv2.store.State()
+	if restored.Epoch != shadow.Epoch+1 {
+		t.Errorf("restored epoch %d, want %d", restored.Epoch, shadow.Epoch+1)
+	}
+	if !reflect.DeepEqual(restored.Sessions, shadow.Sessions) || !reflect.DeepEqual(restored.Shards, shadow.Shards) {
+		t.Errorf("restart changed the durable state:\n got %+v\nwant %+v", restored, shadow)
+	}
+	after := srv2.Stats()
+	if after.Sessions != before.Sessions {
+		t.Errorf("restored %d sessions, want %d", after.Sessions, before.Sessions)
+	}
+	ledger := func(sh wire.ShardStats) [7]uint64 {
+		return [7]uint64{sh.ReadGrants, sh.WriteGrants, sh.Releases, sh.Revoked, sh.RevokedWrite, sh.Fenced, sh.FencedWrite}
+	}
+	for i := range before.Shards {
+		if got, want := ledger(after.Shards[i]), ledger(before.Shards[i]); got != want {
+			t.Errorf("shard %d ledger counters %v after the restart, want %v", i, got, want)
+		}
 	}
 }
 

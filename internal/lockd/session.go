@@ -11,13 +11,6 @@ import (
 	"repro/internal/lockd/wire"
 )
 
-// responseCacheCap bounds the per-session at-most-once response cache. A
-// retransmit older than the cache window re-executes its operation; with
-// monotonically increasing client seqs and clients that give up on a
-// request long before 512 newer ones complete, that window is never hit in
-// practice.
-const responseCacheCap = 512
-
 // holdKey identifies one hold of a session: a (lock name, mode) pair. A
 // session holds a given key in a given mode at most once.
 type holdKey struct {
@@ -168,7 +161,7 @@ func (s *session) finish(seq uint64, resp *wire.Response) {
 	delete(s.inflight, seq)
 	s.responses[seq] = resp
 	s.order = append(s.order, seq)
-	for len(s.order) > responseCacheCap {
+	for len(s.order) > durable.RespCacheCap {
 		delete(s.responses, s.order[0])
 		s.order = s.order[1:]
 	}
@@ -237,11 +230,11 @@ func (t *sessionTable) lookup(id string) *session {
 	return t.byID[id]
 }
 
-// restore rebuilds the table from recovered durable state. Holds and
-// queued entries were already fenced by the epoch bump; what survives a
-// restart is the lease itself (with its persisted absolute expiry, so the
-// sweeper re-arms exactly where it left off) and the at-most-once
-// response cache.
+// restore rebuilds the table from recovered durable state. Holds were
+// already fenced by the epoch bump, and queued waiters are never logged
+// (their connections die with the server); what survives a restart is
+// the lease itself (with its persisted absolute expiry, so the sweeper
+// re-arms exactly where it left off) and the at-most-once response cache.
 func (t *sessionTable) restore(st *durable.State) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

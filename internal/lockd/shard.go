@@ -219,8 +219,6 @@ func (sh *shard) acquire(sess *session, key, mode string, wait time.Duration) (u
 		return 0, ErrSessionExpired
 	}
 	ls.queue = append(ls.queue, w)
-	sh.logAppend(&durable.Record{Type: durable.RecEnqueue, Session: sess.id,
-		Key: ls.key, Mode: mode, Shard: sh.idx})
 	sh.mu.Unlock()
 
 	timer := time.NewTimer(wait)
@@ -263,8 +261,6 @@ func (sh *shard) cancelWaiter(w *waiter, err error) bool {
 	}
 	w.sess.removeWaiter(w)
 	sh.foldBypassLocked(w)
-	sh.logAppend(&durable.Record{Type: durable.RecDequeue, Session: w.sess.id,
-		Key: w.ls.key, Mode: w.mode, Shard: sh.idx})
 	if err != nil {
 		w.ch <- grantResult{err: err}
 	}
@@ -316,8 +312,6 @@ func (sh *shard) promoteLocked(ls *lockState) {
 		w.delivered = true
 		w.sess.removeWaiter(w)
 		sh.foldBypassLocked(w)
-		sh.logAppend(&durable.Record{Type: durable.RecDequeue, Session: w.sess.id,
-			Key: ls.key, Mode: w.mode, Shard: sh.idx})
 		if !w.sess.addHold(holdKey{ls.key, w.mode}) {
 			// The session expired (or double-holds) while queued: it can
 			// no longer receive the grant.
