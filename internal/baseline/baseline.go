@@ -255,7 +255,7 @@ func (pf *PhaseFair) WriterEnter(p memmodel.Proc, wid int) {
 	t := p.FetchAdd(pf.win, 1)
 	p.Await(pf.wout, func(x uint64) bool { return x == t })
 	w := pfPres | ((t & 1) << 1) // presence bit + ticket-parity phase id
-	//rwlint:ignore memdiscipline wlocal[wid] is writer wid's private scratch carrying its presence word to its own exit section; never read cross-process
+	//rwlint:ignore memdiscipline wlocal[wid] is writer wid's private scratch carrying its presence word to its own exit section; only the same incarnation of wid reads it
 	pf.wlocal[wid] = w
 	r := p.FetchAdd(pf.rin, w) &^ pfWmsk
 	p.Await(pf.rout, func(x uint64) bool { return x == r })

@@ -88,14 +88,14 @@ func (q *QueueRW) enqueue(p memmodel.Proc, slot int) {
 			break
 		}
 	}
-	//rwlint:ignore memdiscipline pred[slot] is slot's private node-recycling bookkeeping (classic CLH local state); only slot's owner touches it
+	//rwlint:ignore memdiscipline pred[slot] is slot's private node-recycling bookkeeping (classic CLH local state); only the same incarnation of slot's owner reads it
 	q.pred[slot] = int(predIdx)
 	p.Await(q.nodes[predIdx], func(x uint64) bool { return x == 1 })
 }
 
 // adopt recycles the predecessor's node for the next passage.
 func (q *QueueRW) adopt(slot int) {
-	//rwlint:ignore memdiscipline mine[slot] is slot's private node-recycling bookkeeping; only slot's owner touches it
+	//rwlint:ignore memdiscipline mine[slot] is slot's private node-recycling bookkeeping; only the same incarnation of slot's owner reads it
 	q.mine[slot] = q.pred[slot]
 }
 

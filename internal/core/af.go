@@ -265,7 +265,7 @@ func (a *AF) helpWCS(p memmodel.Proc, i int, seq uint64) {
 func (a *AF) WriterEnter(p memmodel.Proc, wid int) {
 	a.wl.Enter(p, wid)    // line 6
 	seq := p.Read(a.wseq) // the passage's sequence number
-	//rwlint:ignore memdiscipline wlocal[wid] is writer wid's private scratch (the paper's process-local seq register); only wid reads it, in its own exit section
+	//rwlint:ignore memdiscipline wlocal[wid] is writer wid's private scratch (the paper's process-local seq register); only the same incarnation of wid reads it, in its own exit section
 	a.wlocal[wid] = seq
 
 	for i := 0; i < a.groups; i++ { // lines 7-9
@@ -349,7 +349,7 @@ func (a *AF) WriterTryEnter(p memmodel.Proc, wid int) bool {
 		return false
 	}
 	seq := p.Read(a.wseq)
-	//rwlint:ignore memdiscipline wlocal[wid] is writer wid's private scratch (the paper's process-local seq register); only wid reads it, in its own exit section
+	//rwlint:ignore memdiscipline wlocal[wid] is writer wid's private scratch (the paper's process-local seq register); only the same incarnation of wid reads it, in its own exit section
 	a.wlocal[wid] = seq
 
 	for i := 0; i < a.groups; i++ { // lines 7-9

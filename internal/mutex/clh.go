@@ -65,7 +65,7 @@ func (c *CLH) Enter(p memmodel.Proc, slot int) {
 			break
 		}
 	}
-	//rwlint:ignore memdiscipline pred[slot] is slot's private node-recycling bookkeeping (classic CLH local state); only slot's owner touches it
+	//rwlint:ignore memdiscipline pred[slot] is slot's private node-recycling bookkeeping (classic CLH local state); only the same incarnation of slot's owner reads it
 	c.pred[slot] = int(predIdx)
 	p.Await(c.nodes[predIdx], func(x uint64) bool { return x == 0 })
 }
@@ -74,7 +74,7 @@ func (c *CLH) Enter(p memmodel.Proc, slot int) {
 func (c *CLH) Exit(p memmodel.Proc, slot int) {
 	c.checkSlot(slot)
 	p.Write(c.nodes[c.mine[slot]], 0)
-	//rwlint:ignore memdiscipline mine[slot] is slot's private node-recycling bookkeeping; only slot's owner touches it
+	//rwlint:ignore memdiscipline mine[slot] is slot's private node-recycling bookkeeping; only the same incarnation of slot's owner reads it
 	c.mine[slot] = c.pred[slot]
 }
 

@@ -138,3 +138,29 @@ func TestCloseAfterPanicInStart(t *testing.T) {
 		t.Errorf("Step after Close: %v, want errAborted", err)
 	}
 }
+
+// TestCloseAbortsSectionFlush: Close aborts a goroutine parked at a Section
+// marker that waits for the write posted before it (Close waits for every
+// goroutine, so a missed abort hangs the test).
+func TestCloseAbortsSectionFlush(t *testing.T) {
+	r := New(Config{})
+	v := r.Alloc("v", 0)
+	r.AddProc(func(p Proc) {
+		p.Read(v)
+		p.Write(v, 1)
+		p.Section(memmodel.SecExit)
+		p.Read(v)
+	})
+	mustOK(t, r.Start())
+	if _, err := r.Step(); err != nil {
+		t.Fatal(err)
+	}
+	ps := r.procs[0]
+	if last := ps.outbox[len(ps.outbox)-1]; ps.pending.kind != memmodel.OpWrite || last.section != memmodel.SecExit {
+		t.Fatalf("pending %+v, last request %+v; want the posted write pending and the goroutine at the marker", ps.pending, last)
+	}
+	r.Close()
+	if _, err := r.Step(); !errors.Is(err, errAborted) {
+		t.Errorf("Step after Close: %v, want errAborted", err)
+	}
+}

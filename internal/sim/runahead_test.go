@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,11 +18,13 @@ import (
 
 // oracleRun is what one execution of the run-ahead oracle shows: its trace
 // events (section changes included), every incarnation's account, the
-// errors its steps returned, and whether it ended done and terminated.
+// errors its steps returned, its final memory, and whether it ended done
+// and terminated.
 type oracleRun struct {
 	events     []trace.Event
 	accounts   [][]*Account
 	stepErrs   []string
+	mem        []uint64
 	done, term bool
 	counts     Counts
 }
@@ -100,6 +103,7 @@ func oracleExecution(t *testing.T, wl indexWorkload, proto Protocol, seed int64,
 	for id := 0; id < n; id++ {
 		run.accounts = append(run.accounts, r.AccountsOf(id))
 	}
+	run.mem = slices.Clone(r.mem)
 	run.done, run.term = r.Done(), r.Terminated()
 	before := ReadCounts()
 	r.Close()
@@ -165,6 +169,9 @@ func compareRuns(t *testing.T, k int, live, ahead oracleRun) {
 	}
 	if !reflect.DeepEqual(live.accounts, ahead.accounts) {
 		t.Fatalf("k=%d: accounts differ", k)
+	}
+	if !slices.Equal(live.mem, ahead.mem) {
+		t.Fatalf("k=%d: final memory %v live, %v with the script", k, live.mem, ahead.mem)
 	}
 	if live.done != ahead.done || live.term != ahead.term {
 		t.Fatalf("k=%d: done/terminated %v/%v live, %v/%v with the script", k, live.done, live.term, ahead.done, ahead.term)

@@ -14,16 +14,19 @@
 // A process talks to the runner through its outbox: it appends every
 // request there, and hands off (a plain send on its req channel, then a
 // receive on its resp channel) only when it needs an answer the runner
-// has not given it yet. Section markers never wait. A process started
-// with a recorded script (Record, RunAhead) answers its operations from
-// the script and runs ahead to the script's end in one handoff. Step
-// still executes each of those operations for real, taking it from the
-// outbox instead of the channel, and returns a *DivergenceError if the
-// response it computes, or the step it computes it at, differs from the
-// recorded one. Between Runner calls every live goroutine is parked on
-// its resp receive or has exited, so Close aborts them all, including
-// incarnations retired by Restart, by closing their resp channels (see
-// proc.go).
+// has not given it yet. A Write returns nothing, so after a process's
+// first handoff it is posted: the process goes on at once, and the runner
+// executes the write when the process is scheduled, at the step it would
+// have had anyway. A section marker waits only when a posted write is
+// before it. A process started with a recorded script (Record, RunAhead)
+// answers its operations from the script and runs ahead to the script's
+// end in one handoff. Step still executes each of those operations for
+// real, taking it from the outbox instead of the channel, and returns a
+// *DivergenceError if the response it computes, or the step it computes
+// it at, differs from the recorded one. Between Runner calls every live
+// goroutine is parked on its resp receive or has exited, so Close aborts
+// them all, including incarnations retired by Restart, by closing their
+// resp channels (see proc.go).
 //
 // A step costs O(1) in the number of processes when no status changed: the
 // runner keeps the poised list, a per-variable waiter index, the barrier
@@ -71,6 +74,16 @@ var errAborted = errors.New("sim: runner closed")
 // no RMR, invisible to the awareness machinery) that staged drivers such as
 // the Theorem-5 adversary use to stop processes at precise points, e.g.
 // inside the critical section between fragments E1 and E2.
+//
+// A program's goroutine may run ahead of the simulated execution: Write
+// returns before the runner executes the write, and a crash can discard
+// it. The goroutine catches up at a sync point: an operation that returns
+// a value, a Barrier, or a Section marker, which waits for every write
+// posted before it. So Go state that a program shares with its driver, or
+// with a later incarnation, must be written only right after a sync point,
+// never right after a Write: a crash between the write's post and its
+// execution would leave the effect of a step that never happened. Go
+// state that only the same incarnation reads is safe anywhere.
 type Proc interface {
 	memmodel.Proc
 	// Barrier blocks the process until the driver calls ReleaseBarrier.
@@ -153,6 +166,13 @@ type procState struct {
 	// Ownership moves with the handoff (see simProc).
 	outbox []request
 	next   int
+	// exited records that the goroutine closed req: its program returned,
+	// and no request in the outbox waits for a reply. The runner sets it.
+	exited bool
+	// handed and posted belong to the goroutine: handed is set at its
+	// first handoff, and posted while the outbox holds a write it posted
+	// since its last one.
+	handed, posted bool
 	// script holds the recorded responses the incarnation answers its
 	// first operations from (RunAhead); played counts the ones the runner
 	// has checked.
@@ -308,7 +328,8 @@ func (e *DivergenceError) Error() string {
 }
 
 // Counts are simulator work totals: shared-memory steps, handoffs (one
-// runner-process channel round trip each: a launch or a reply, answered by
+// runner-process channel round trip each: a launch, a reply, or the
+// answer to a section marker that flushed posted writes, each answered by
 // the process's next send on req or its close), and replayed steps (steps
 // of operations the process answered from its script).
 type Counts struct {
@@ -526,7 +547,8 @@ func (r *Runner) launch(ps *procState) {
 // Afterwards the runner owns ps.outbox.
 func (r *Runner) hear(ps *procState) {
 	r.handoffs++
-	<-ps.req
+	_, ok := <-ps.req
+	ps.exited = !ok
 }
 
 // answer replies to the request ps's goroutine waits on, returns the
@@ -541,8 +563,9 @@ func (r *Runner) answer(ps *procState, resp response) {
 // Close aborts any still-running process goroutines and waits for them to
 // exit. It is safe to call multiple times and after normal completion.
 // Every live goroutine is parked receiving on its resp channel, or has
-// exited (a program that finished inside its script), so closing that
-// channel is the abort; this covers incarnations retired by Restart.
+// exited (a program that finished inside its script, or after posting its
+// last writes), so closing that channel is the abort; this covers
+// incarnations retired by Restart.
 // After Close, Start, Step, ReleaseBarrier and Restart return errAborted.
 // The first Close adds the execution's counts to the package totals.
 func (r *Runner) Close() {
@@ -608,9 +631,10 @@ func (r *Runner) Reset(cfg Config) {
 // settle advances process ps until it is poised at a shared-memory op,
 // blocked at a barrier, or done, processing section transitions inline.
 // It reads ps's requests from its outbox, which the last handoff filled.
-// A handoff that waits for a reply ends the outbox with the op or barrier
-// it waits on, so an outbox used up means the goroutine has exited: the
-// process is done.
+// A handoff that waits for a reply ends the outbox with the request it
+// waits on, so an outbox used up means the goroutine has exited: the
+// process is done. A section marker that ends the outbox of a goroutine
+// still running flushed posted writes, and is answered here.
 func (r *Runner) settle(ps *procState) {
 	for {
 		if ps.next == len(ps.outbox) {
@@ -632,6 +656,9 @@ func (r *Runner) settle(ps *procState) {
 				Section:       rq.section,
 				SectionChange: true,
 			})
+			if ps.next == len(ps.outbox) && !ps.exited {
+				r.answer(ps, response{})
+			}
 		case rq.barrier:
 			r.setStatus(ps, statusBarrier)
 			return
@@ -716,8 +743,9 @@ func (r *Runner) Crash(id int) error {
 //
 // The dead incarnation's goroutine stays parked at its interrupted
 // operation until Close; it takes no further steps and its program's
-// remaining effects never happen. Restarting a process that is alive or
-// finished is an error.
+// remaining effects never happen. Writes it posted that the runner had not
+// executed yet are discarded with it, like the rest of its outbox.
+// Restarting a process that is alive or finished is an error.
 //
 // A pending restart is progress potential: after Step returns a
 // *NoProgressError (the watchdog's wedge verdict), the runner remains
@@ -1271,10 +1299,11 @@ func (r *Runner) emit(e trace.Event) {
 
 // reply completes ps's pending operation, which started at global step
 // start, and settles ps at its next one. It records the response if the
-// execution is being recorded. An operation the process answered from its
-// script is checked instead of answered: the process has already run past
+// execution is being recorded. Only the request the goroutine waits on,
+// the last in its outbox, is answered. An operation the process answered
+// from its script is checked instead: the process has already run past
 // it, so the response and the step must be the recorded ones. A mismatch
-// sets r.diverged and leaves ps where it is.
+// sets r.diverged and leaves ps where it is. A posted write needs neither.
 func (r *Runner) reply(ps *procState, start int, resp response) {
 	if r.rec != nil && ps.incarnation == 0 {
 		kept := resp
@@ -1289,7 +1318,7 @@ func (r *Runner) reply(ps *procState, start int, resp response) {
 				Recorded: want.resp.String(), Computed: resp.String()}
 			return
 		}
-	} else {
+	} else if ps.next == len(ps.outbox) && !ps.exited {
 		r.answer(ps, resp)
 	}
 	r.settle(ps)

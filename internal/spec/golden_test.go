@@ -204,3 +204,57 @@ func recordSweepGolden(t *testing.T, base Scenario, ckpt func(string) string) {
 		t.Fatal(err)
 	}
 }
+
+// recrashGoldens pins an exhaustive crash-recovery sweep: one reader and
+// one writer, one passage each, the victim crashed at every step and
+// crashed again 1 to 39 steps after each restart. Each case lists its row
+// count, the digest of its %+v rendering and its verdict counts (abort,
+// cs, done). The verdicts a restarted incarnation returns are Go state the
+// harness records, so a harness that records one before the simulator has
+// executed the step it rests on changes the counts.
+var recrashGoldens = []struct {
+	name     string
+	newAlg   func() memmodel.RecoverableAlgorithm
+	victim   int
+	rows     int
+	digest   string
+	verdicts [3]int
+}{
+	{"r-af-log/victim=0", func() memmodel.RecoverableAlgorithm { return recoverable.NewAF(core.FLog) }, 0, 1404, "796b601411f3fdabfd16c1714ff202fa2bcdc33cb93b98f4cb735be9e9aa984e", [3]int{329, 464, 439}},
+	{"r-af-log/victim=1", func() memmodel.RecoverableAlgorithm { return recoverable.NewAF(core.FLog) }, 1, 1404, "9f766a153010b5e2a87ed02bc7a95df5d497b7aa3e9966330c753141ddd820ff", [3]int{172, 1158, 345}},
+	{"r-centralized/victim=0", func() memmodel.RecoverableAlgorithm { return recoverable.NewCentralized() }, 0, 780, "ff9936d4b96bdfa0231095d5e1c789b234c9add66c56e2b91c3a59403c78bc87", [3]int{243, 174, 265}},
+	{"r-centralized/victim=1", func() memmodel.RecoverableAlgorithm { return recoverable.NewCentralized() }, 1, 780, "2f1377b03b13c4285ef6f9aa2de531f842c430cca1e3bd7c601aef5731882dcc", [3]int{450, 320, 112}},
+}
+
+// TestSweepGoldenRecrashExhaustive runs recrashGoldens and requires each
+// case's rows, digest and verdict counts.
+func TestSweepGoldenRecrashExhaustive(t *testing.T) {
+	sc := Scenario{NReaders: 1, NWriters: 1, ReaderPassages: 1, WriterPassages: 1, Parallel: 2}
+	offsets := make([]int, 40)
+	for i := range offsets {
+		offsets[i] = i
+	}
+	for _, tc := range recrashGoldens {
+		t.Run(tc.name, func(t *testing.T) {
+			outs, err := RecoverySweepRecrash(tc.newAlg, sc, tc.victim, 1, offsets, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var verdicts [3]int
+			for _, o := range outs {
+				for _, v := range o.Recoveries {
+					verdicts[v-memmodel.RecoverAbort]++
+				}
+			}
+			if len(outs) != tc.rows {
+				t.Errorf("%d rows, want %d", len(outs), tc.rows)
+			}
+			if d := sweepDigest(renderPtrs(outs)); d != tc.digest {
+				t.Errorf("rendering digest %s, want %s", d, tc.digest)
+			}
+			if verdicts != tc.verdicts {
+				t.Errorf("verdicts (abort, cs, done) %v, want %v", verdicts, tc.verdicts)
+			}
+		})
+	}
+}

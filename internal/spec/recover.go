@@ -137,15 +137,22 @@ func runCrashRecoverOn(c *runnerCache, alg memmodel.RecoverableAlgorithm, sc Sce
 			} else {
 				rec = alg.WriterRecover(p, victim-sc.NReaders)
 			}
+			// The verdict is recorded after the marker that follows it: a
+			// recovery section may end in a posted write, and only a
+			// marker waits for it (see sim.Proc).
+			if rec == memmodel.RecoverCS {
+				p.Section(memmodel.SecCS)
+			} else {
+				p.Section(memmodel.SecRemainder)
+			}
 			out.Recoveries = append(out.Recoveries, rec)
 			switch rec {
 			case memmodel.RecoverCS:
-				x.finish(p, victim)
+				x.finishCS(p, victim)
 			case memmodel.RecoverDone:
-				p.Section(memmodel.SecRemainder)
 				x.counts[victim]++
 			case memmodel.RecoverAbort:
-				p.Section(memmodel.SecRemainder)
+				// Rolled back: the quota loop below retries the passage.
 			}
 			for x.counts[victim] < x.quota(victim) {
 				x.passage(p, victim)

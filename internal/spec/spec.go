@@ -318,6 +318,11 @@ func (x *execution) passage(p sim.Proc, pid int) {
 // completed passage.
 func (x *execution) finish(p sim.Proc, pid int) {
 	p.Section(memmodel.SecCS)
+	x.finishCS(p, pid)
+}
+
+// finishCS is finish for a process already in its critical section.
+func (x *execution) finishCS(p sim.Proc, pid int) {
 	for k := 0; k < x.sc.CSReads; k++ {
 		p.Read(x.scratch)
 	}
