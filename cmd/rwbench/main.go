@@ -9,9 +9,9 @@
 // serially and at -parallel workers, checks the two produce byte-identical
 // results, and writes machine-readable numbers (ns/op, allocs/op, speedup)
 // to a JSON file. Adding -scaling extends the artifact with a worker-count
-// scaling curve (1, 2, 4, NumCPU; ns/op, speedup, parallel efficiency and
-// the work-stealing scheduler counters per point); -min-speedup2 turns the
-// 2-worker speedup into a pass/fail gate on multicore hosts.
+// scaling curve (1, 2, 4, NumCPU; ns/op, speedup and parallel efficiency
+// per point); -min-speedup2 turns the 2-worker speedup into a pass/fail
+// gate on multicore hosts.
 //
 // With -compare it instead diffs two -sweeps JSON artifacts and enforces
 // regression budgets on the serial measurements: the run fails if new

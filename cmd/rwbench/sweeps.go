@@ -7,8 +7,8 @@
 // Each workload also records exact simulator counts per op (steps,
 // handoffs, replayed steps; sim.ReadCounts), which are deterministic. With
 // -scaling each workload is additionally measured across the
-// 1/2/4/NumCPU worker axis, recording speedup, parallel efficiency and
-// the work-stealing scheduler counters per point.
+// 1/2/4/NumCPU worker axis, recording speedup and parallel efficiency per
+// point.
 package main
 
 import (
@@ -49,10 +49,6 @@ type ScalingPoint struct {
 	Efficiency float64 `json:"efficiency"`
 	// Identical records the determinism check against the serial run.
 	Identical bool `json:"identical"`
-	// Sched is the parwork scheduler-counter delta (chunks built, local
-	// claims, steals, failed steal probes) over one run of the workload at
-	// this worker count — the work-stealing story behind the ns/op.
-	Sched parwork.Stats `json:"sched"`
 }
 
 // SweepResult is one sweep workload measured serially and in parallel.
@@ -163,10 +159,10 @@ func scalingWorkerCounts() []int {
 // runSweeps measures every sweep workload at 1 worker and at GOMAXPROCS
 // workers for benchtime each and writes the JSON report to outPath. With
 // scaling it additionally measures each workload across the
-// scalingWorkerCounts axis — ns/op, speedup, parallel efficiency and the
-// parwork steal/claim counters per point — and minSpeedup2 > 0 turns the
-// 2-worker speedup into a gate (skipped on single-CPU hosts, where there
-// is no 2-worker point to measure).
+// scalingWorkerCounts axis — ns/op, speedup and parallel efficiency per
+// point — and minSpeedup2 > 0 turns the 2-worker speedup into a gate
+// (skipped on single-CPU hosts, where there is no 2-worker point to
+// measure).
 func runSweeps(outPath string, benchtime time.Duration, scaling bool, minSpeedup2 float64) error {
 	// testing.Benchmark sizes b.N from the test.benchtime flag, which only
 	// exists after testing.Init; registering it post-Parse is fine because
@@ -259,9 +255,8 @@ const scalingRounds = 7
 
 // measureScaling measures one workload across the scaling worker-count
 // axis. Per point it runs the workload once outside the timing loop to
-// (a) re-verify byte-identity against the serial fingerprint under this
-// worker count and (b) capture the parwork scheduler-counter delta for
-// exactly one run. It then times every point scalingRounds times with the
+// re-verify byte-identity against the serial fingerprint under this
+// worker count. It then times every point scalingRounds times with the
 // benchmark harness, alternating the worker counts. Speedups are relative
 // to the curve's own 1-worker point so the curve is internally consistent
 // whatever the harness's iteration choices.
@@ -271,16 +266,11 @@ func measureScaling(w sweepWorkload, serialFP string) ([]ScalingPoint, error) {
 	pts := make([]ScalingPoint, len(counts))
 	for i, wkr := range counts {
 		parwork.SetDefault(wkr)
-		before := parwork.ReadStats()
 		fp, err := w.render()
 		if err != nil {
 			return nil, fmt.Errorf("%s (scaling, %d workers): %w", w.Name, wkr, err)
 		}
-		pts[i] = ScalingPoint{
-			Workers:   wkr,
-			Identical: fp == serialFP,
-			Sched:     parwork.ReadStats().Sub(before),
-		}
+		pts[i] = ScalingPoint{Workers: wkr, Identical: fp == serialFP}
 		if !pts[i].Identical {
 			return nil, fmt.Errorf("%s: results at %d workers diverged from serial", w.Name, wkr)
 		}
@@ -305,9 +295,8 @@ func measureScaling(w sweepWorkload, serialFP string) ([]ScalingPoint, error) {
 			pt.Speedup = float64(baseNs) / float64(pt.NsPerOp)
 			pt.Efficiency = pt.Speedup / float64(pt.Workers)
 		}
-		fmt.Printf("%-16s workers=%-2d %12d ns/op %8d allocs/op | speedup %.2fx efficiency %.2f | steals=%d local=%d chunks=%d\n",
-			w.Name, pt.Workers, pt.NsPerOp, pt.AllocsPerOp, pt.Speedup, pt.Efficiency,
-			pt.Sched.Steals, pt.Sched.LocalClaims, pt.Sched.Chunks)
+		fmt.Printf("%-16s workers=%-2d %12d ns/op %8d allocs/op | speedup %.2fx efficiency %.2f\n",
+			w.Name, pt.Workers, pt.NsPerOp, pt.AllocsPerOp, pt.Speedup, pt.Efficiency)
 	}
 	return pts, nil
 }

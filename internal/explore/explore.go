@@ -211,11 +211,10 @@ func Algorithm(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config) (
 //
 // No cost hint: a subtree's size is the very thing exploration discovers
 // (a root choice may prune immediately or dominate the whole search), so
-// there is no known shape to seed LPT with. Stealing moves whole
-// subtrees between workers, never part of one, so the largest subtree
-// bounds the speedup. The n=1, m=1 trees have as few root subtrees as
-// poised processes: af-log's two hold 4,637 and 6,738 schedules, so at
-// two workers each takes one and there is nothing to steal.
+// there is no known shape to order by. Workers claim whole subtrees,
+// never part of one, so the largest subtree bounds the speedup. The n=1,
+// m=1 trees have as few root subtrees as poised processes: af-log's two
+// hold 4,637 and 6,738 schedules, so at two workers each takes one.
 func exploreSubtrees(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config, workers, roots int) ([]*Result, error) {
 	opt := parwork.Options{
 		Workers: workers,

@@ -39,9 +39,9 @@ func TestAlgorithmPackageScope(t *testing.T) {
 	}
 
 	harness := []string{
-		// parwork now also carries the work-stealing scheduler's sync/atomic
-		// stats counters (steals, claims, idle probes) — real host atomics,
-		// intentionally outside the simulated memory discipline.
+		// parwork's claim cursor and stats counters are sync/atomic — real
+		// host atomics, intentionally outside the simulated memory
+		// discipline.
 		"repro/internal/parwork",
 		"repro/internal/sim",
 		"repro/internal/spec",

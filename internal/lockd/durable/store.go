@@ -5,16 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // Options parameterizes a Store. Zero values select the defaults.
 type Options struct {
 	// Fsync is the WAL sync policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncInterval is the background sync period under FsyncInterval
-	// (default 5ms).
-	FsyncInterval time.Duration
 	// SnapshotEvery is the number of appended records between snapshots
 	// (default 4096). Each snapshot rotates (truncates) the WAL.
 	SnapshotEvery int
@@ -26,9 +22,6 @@ type Options struct {
 func (o *Options) applyDefaults() {
 	if o.Fsync == "" {
 		o.Fsync = FsyncInterval
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 5 * time.Millisecond
 	}
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 4096
@@ -121,7 +114,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	info.Sessions = len(st.Sessions)
 	info.Holds = st.HoldCount()
 
-	w, err := openWAL(s.walPath(), opts.Fsync, opts.FsyncInterval)
+	w, err := openWAL(s.walPath(), opts.Fsync)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -59,10 +59,12 @@ type wal struct {
 	syncErr  error //rwguard:mu sticky first background-sync failure
 }
 
+// syncInterval is the background sync period under FsyncInterval.
+const syncInterval = 5 * time.Millisecond
+
 // openWAL opens (creating if needed) the log at path for appending. A
-// fresh or truncated-to-empty file gets the magic header. interval is the
-// background sync period for FsyncInterval.
-func openWAL(path string, policy FsyncPolicy, interval time.Duration) (*wal, error) {
+// fresh or truncated-to-empty file gets the magic header.
+func openWAL(path string, policy FsyncPolicy) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open WAL: %w", err)
@@ -84,19 +86,16 @@ func openWAL(path string, policy FsyncPolicy, interval time.Duration) (*wal, err
 		}
 	}
 	if policy == FsyncInterval {
-		if interval <= 0 {
-			interval = 5 * time.Millisecond
-		}
-		go w.syncLoop(interval)
+		go w.syncLoop()
 	} else {
 		close(w.syncDone)
 	}
 	return w, nil
 }
 
-func (w *wal) syncLoop(interval time.Duration) {
+func (w *wal) syncLoop() {
 	defer close(w.syncDone)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -53,10 +53,8 @@ type Config struct {
 	// in-memory only (epoch pinned at 1).
 	DataDir string
 	// Fsync selects the WAL sync policy for a durable server: "always",
-	// "interval" (default), or "never"; FsyncInterval is the background
-	// sync period under "interval" (default 5ms).
-	Fsync         string
-	FsyncInterval time.Duration
+	// "interval" (default; a background sync every 5ms), or "never".
+	Fsync string
 	// SnapshotEvery is the number of WAL records between snapshot
 	// rotations (default 4096).
 	SnapshotEvery int
@@ -152,7 +150,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		store, info, err := durable.Open(cfg.DataDir, durable.Options{
 			Fsync:         pol,
-			FsyncInterval: cfg.FsyncInterval,
 			SnapshotEvery: cfg.SnapshotEvery,
 			Shards:        cfg.Shards,
 			WordsPerShard: cfg.KeysPerShard,
@@ -242,7 +239,7 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 func (s *Server) shardFor(key string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return s.shards[int(h.Sum32())%len(s.shards)]
+	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // Serve runs the lease sweeper and the accept loop until Close. For a

@@ -125,7 +125,7 @@ func (sh *shard) lockStateLocked(key string) *lockState {
 	if ls == nil {
 		h := fnv.New32a()
 		h.Write([]byte(key))
-		wordIdx := int(h.Sum32()) % len(sh.words)
+		wordIdx := int(h.Sum32() % uint32(len(sh.words)))
 		ls = &lockState{
 			key:     key,
 			wordIdx: wordIdx,

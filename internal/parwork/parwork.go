@@ -12,11 +12,10 @@
 // into it. Each field of Options turns on one robustness behavior, and a
 // zero Options is a plain fan-out.
 //
-// Scheduling is cost-aware and work-stealing (see steal.go): callers may
-// pass a CostHint describing each row's known shape, which seeds rows
-// largest-first across per-worker deques and sizes claim chunks so cheap
-// rows amortize claim overhead while expensive rows can be stolen
-// individually. Hints change only wall clock, never results.
+// Workers claim rows one at a time from a shared cursor (see claim.go).
+// Callers may pass a CostHint describing each row's known shape, and the
+// cursor then hands rows out largest-first. Hints change only wall clock,
+// never results.
 //
 // The determinism contract is the caller's side of the bargain: each job
 // must be a pure function of its index (fresh algorithm instance, fresh
@@ -71,10 +70,10 @@ func Workers(n int) int {
 
 // Do runs job(i) for every i in [0, n) across at most workers concurrent
 // goroutines (Workers-normalized) and returns the results in index order.
-// cost is the scheduling hint for row i (see CostHint; nil means uniform
-// rows); it changes the schedule, never the results. With one worker the
-// jobs run serially, in order, on the calling goroutine; the output is
-// identical either way for pure jobs. A panic in any job stops the pool
+// cost is the claim-order hint for row i (see CostHint; nil keeps index
+// order); it changes the claim order, never the results. With one worker
+// the jobs run serially, in order, on the calling goroutine; the output
+// is identical either way for pure jobs. A panic in any job stops the pool
 // from claiming further rows and is re-raised on the calling goroutine
 // after the workers drain. Do is DoRobust with zero Options.
 func Do[T any](workers, n int, cost CostHint, job func(i int) T) []T {

@@ -33,9 +33,8 @@ func TestDoZeroJobs(t *testing.T) {
 }
 
 // TestDoErrLowestIndexWins verifies error precedence is by row index, not
-// schedule order: a cost hint that seeds high indices first must not
-// promote their errors over a lower-index failure, at any worker count,
-// stealing on or off.
+// claim order: a later row's error must not win over a lower-index
+// failure, at any worker count.
 func TestDoErrLowestIndexWins(t *testing.T) {
 	errA := errors.New("a")
 	for _, workers := range []int{1, 4} {

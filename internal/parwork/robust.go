@@ -149,10 +149,9 @@ type Options struct {
 	// flushEvery rows and once at the end.
 	Sink Sink
 	// Cost, when non-nil, is the scheduling hint for row i (see
-	// CostHint): pending rows are seeded largest-first across the worker
-	// deques and claimed in cost-sized chunks. Restored rows never rerun,
-	// so on a resume the hint is consulted only for the rows still
-	// pending. Hints change the schedule, never the results.
+	// CostHint): pending rows are claimed largest-first. Restored rows
+	// never rerun, so on a resume the hint is consulted only for the rows
+	// still pending. Hints change the claim order, never the results.
 	Cost CostHint
 	// RowInfo, when non-nil, describes row i for failure reports (e.g.
 	// the fault point).
@@ -342,9 +341,9 @@ func DoRobust[S, T any](
 		return nil
 	}
 
-	// The pending rows run on the cost-aware work-stealing scheduler: the
-	// caller's hint is composed over the pending list (a resumed run
-	// schedules only what is left).
+	// The pending rows are claimed from one cursor: the caller's hint is
+	// composed over the pending list (a resumed run orders only what is
+	// left).
 	w := Workers(opt.Workers)
 	if w > len(pending) {
 		w = len(pending)
@@ -353,9 +352,9 @@ func DoRobust[S, T any](
 	if opt.Cost != nil {
 		pendingCost = func(k int) int64 { return opt.Cost(pending[k]) }
 	}
-	schd := newScheduler(len(pending), w, pendingCost)
+	rows := newCursor(len(pending), w, pendingCost)
 
-	work := func(worker int) {
+	work := func() {
 		defer func() {
 			// enter/exit are harness code and should not panic; if one
 			// does, surface it like a fail-fast row panic.
@@ -364,14 +363,13 @@ func DoRobust[S, T any](
 				poisoned.Store(true)
 			}
 		}()
-		next := schd.claimer(worker)
 		scope := enter()
 		defer func() { exit(scope) }()
 		for {
 			if poisoned.Load() || opt.Stop.Stopped() {
 				return
 			}
-			k, ok := next()
+			k, ok := rows.claim()
 			if !ok {
 				return
 			}
@@ -403,13 +401,13 @@ func DoRobust[S, T any](
 	var wg sync.WaitGroup
 	for k := 1; k < w; k++ {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			work(k)
-		}(k)
+			work()
+		}()
 	}
 	if w > 0 {
-		work(0)
+		work()
 	}
 	wg.Wait()
 

@@ -217,12 +217,19 @@ func wakes(e trace.Event) bool {
 type indexWorkload struct {
 	name  string
 	build func(r *Runner, rng *rand.Rand)
+	// passages, if non-nil, is Go state the programs of the execution
+	// last built keep: the number of passages each process has completed.
+	passages []int
 }
 
 // lockWorkload runs three passages per process of a reader-writer lock,
-// with a barrier in some critical sections.
+// with a barrier in some critical sections. Each process counts its
+// passages in Go state right after its remainder marker, which is a sync
+// point for a write before it.
 func lockWorkload(name string, mk func() memmodel.Algorithm, readers, writers int) indexWorkload {
-	return indexWorkload{name: name, build: func(r *Runner, rng *rand.Rand) {
+	passages := make([]int, readers+writers)
+	return indexWorkload{name: name, passages: passages, build: func(r *Runner, rng *rand.Rand) {
+		clear(passages)
 		alg := mk()
 		if err := alg.Init(r, readers, writers); err != nil {
 			panic(err)
@@ -248,6 +255,7 @@ func lockWorkload(name string, mk func() memmodel.Algorithm, readers, writers in
 						alg.WriterExit(p, i-readers)
 					}
 					p.Section(memmodel.SecRemainder)
+					passages[i]++
 				}
 			})
 		}

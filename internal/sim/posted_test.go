@@ -36,6 +36,19 @@ var postedOracleWant = map[string]string{
 	"multi-spin/dsm":            "539483ee7070b125668fe86d012c1229510c69f65729f8c0569bdc401bc52a98",
 }
 
+// postedPassagesWant holds, per lock workload, the digest of the Go-side
+// passage counts the driver read after every action of the same
+// executions, recorded on the same simulator; they are the same under
+// every protocol. A process counts a passage right after its remainder
+// marker, so a marker that let the program run past a write the runner
+// had not executed yet shows here.
+var postedPassagesWant = map[string]string{
+	"af-log":      "6705e495c303ffaa48bccea8450f7421cb68a679eb24b8d938a224403382ea23",
+	"af-one":      "466de53c806522bf3c86c5d9077960597aabb965c45d345e438ef46b6772b9ff",
+	"centralized": "da8d2b2e15201bc25096cd2efe0bd583017412727595addc1bc0fe5c459b6fa7",
+	"queue-rw":    "d4257eea096a0d5c70c67e8d7dbb0f26d7c8ad2171764079cb348f98ba0082bb",
+}
+
 const postedOracleSeeds = 20
 
 // digestRun adds everything an execution shows to h, except its handoff
@@ -57,8 +70,9 @@ func digestRun(h hash.Hash, run oracleRun) {
 // TestPostedWritesMatchParent is the independent oracle for posted writes.
 // It digests the seeded live executions of TestRunAheadMatchesLive's
 // generator (lock algorithms and a multi-await workload, under every
-// protocol, with crashes, restarts, stalls and barrier releases) and
-// compares them with digests recorded before writes were posted.
+// protocol, with crashes, restarts, stalls and barrier releases), and
+// separately the lock programs' Go-side passage counts, and compares both
+// with digests recorded before writes were posted.
 func TestPostedWritesMatchParent(t *testing.T) {
 	workloads := []indexWorkload{
 		lockWorkload("af-log", func() memmodel.Algorithm { return core.New(core.FLog) }, 2, 2),
@@ -71,12 +85,27 @@ func TestPostedWritesMatchParent(t *testing.T) {
 		for _, proto := range []Protocol{WriteThrough, WriteBack, DSM} {
 			name := fmt.Sprintf("%s/%s", wl.name, proto)
 			t.Run(name, func(t *testing.T) {
-				h := sha256.New()
+				h, hp := sha256.New(), sha256.New()
+				completed := 0
 				for seed := int64(1); seed <= postedOracleSeeds; seed++ {
-					digestRun(h, oracleExecution(t, wl, proto, seed, -1, nil, nil))
+					run := oracleExecution(t, wl, proto, seed, -1, nil, nil)
+					digestRun(h, run)
+					fmt.Fprintln(hp, run.passages)
+					for _, c := range wl.passages {
+						completed += c
+					}
 				}
 				if got := hex.EncodeToString(h.Sum(nil)); got != postedOracleWant[name] {
 					t.Errorf("digest %s, want %s", got, postedOracleWant[name])
+				}
+				if wl.passages == nil {
+					return
+				}
+				if completed == 0 {
+					t.Fatal("no process completed a passage; the passage digest is vacuous")
+				}
+				if got := hex.EncodeToString(hp.Sum(nil)); got != postedPassagesWant[wl.name] {
+					t.Errorf("passage digest %s, want %s", got, postedPassagesWant[wl.name])
 				}
 			})
 		}

@@ -19,7 +19,9 @@ import (
 // oracleRun is what one execution of the run-ahead oracle shows: its trace
 // events (section changes included), every incarnation's account, the
 // errors its steps returned, its final memory, and whether it ended done
-// and terminated.
+// and terminated. passages holds the workload's Go-side passage counts as
+// the driver read them after every action, concatenated (nil if it keeps
+// none).
 type oracleRun struct {
 	events     []trace.Event
 	accounts   [][]*Account
@@ -27,6 +29,7 @@ type oracleRun struct {
 	mem        []uint64
 	done, term bool
 	counts     Counts
+	passages   []int
 }
 
 // oracleExecution runs one seeded random execution of wl: random
@@ -98,6 +101,9 @@ func oracleExecution(t *testing.T, wl indexWorkload, proto Protocol, seed int64,
 		}
 		if err != nil {
 			t.Fatalf("action %d (step %d): %v", action, r.StepCount(), err)
+		}
+		if wl.passages != nil {
+			run.passages = append(run.passages, wl.passages...)
 		}
 	}
 	for id := 0; id < n; id++ {

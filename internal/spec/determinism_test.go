@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/memmodel"
-	"repro/internal/parwork"
 	"repro/internal/recoverable"
 	"repro/internal/sched"
 )
@@ -125,26 +124,18 @@ func TestSweepDeterminism(t *testing.T) {
 			if want == "" {
 				t.Fatal("serial run produced no outcomes; the case is vacuous")
 			}
-			// Both stealing modes: with stealing, workers share the ragged
-			// tail of the cost-seeded deques; without, each drains only its
-			// own. The sweeps' cost hints change the schedule in both modes
-			// and must never change the bytes.
-			for _, stealing := range []bool{true, false} {
-				prev := parwork.StealingEnabled()
-				parwork.SetStealing(stealing)
-				for _, workers := range determinismWorkerCounts()[1:] {
-					par := sc
-					par.Parallel = workers
-					got, err := tc.run(par)
-					if err != nil {
-						parwork.SetStealing(prev)
-						t.Fatalf("parallel=%d stealing=%v run: %v", workers, stealing, err)
-					}
-					if got != want {
-						t.Errorf("parallel=%d stealing=%v diverged from serial output", workers, stealing)
-					}
+			// The sweeps' cost hints change the claim order at every
+			// parallel worker count and must never change the bytes.
+			for _, workers := range determinismWorkerCounts()[1:] {
+				par := sc
+				par.Parallel = workers
+				got, err := tc.run(par)
+				if err != nil {
+					t.Fatalf("parallel=%d run: %v", workers, err)
 				}
-				parwork.SetStealing(prev)
+				if got != want {
+					t.Errorf("parallel=%d diverged from serial output", workers)
+				}
 			}
 		})
 	}
