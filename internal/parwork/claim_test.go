@@ -182,7 +182,10 @@ func TestDoCostPanicPoisons(t *testing.T) {
 // with a cost hint, interrupted mid-run and resumed against the same sink,
 // must produce output byte-identical to an uninterrupted serial run; the
 // resume's cursor orders only the pending rows, with the hint composed
-// over them.
+// over them. The stealing=B level is gone from the pool but kept in the
+// subtest names so their IDs stay stable; its two legs are two
+// independent interrupted-and-resumed runs, each under its own claim
+// interleaving.
 func TestDoRobustCostInterruptAndResume(t *testing.T) {
 	const n = 40
 	skew := func(i int) int64 {
@@ -197,40 +200,42 @@ func TestDoRobustCostInterruptAndResume(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sink := newMemSink()
-			stop := NewStopper()
-			_, err := DoRobust(
-				Options{Workers: workers, Sink: sink, Stop: stop, Cost: skew,
-					AfterRow: func(done int) {
-						if done >= 5 {
-							stop.Stop()
-						}
-					}},
-				n, JSONCodec[int](), noScope, noExit, square, nil)
-			var ie *InterruptedError
-			if !errors.As(err, &ie) {
-				t.Fatalf("err = %v, want *InterruptedError", err)
-			}
-			if ie.Done >= n || sink.len() != ie.Done {
-				t.Fatalf("interrupt bookkeeping: ie=%+v sink=%d", ie, sink.len())
-			}
-
-			var computed atomic.Int64
-			out, err := DoRobust(Options{Workers: workers, Sink: sink, Cost: skew,
-				AfterRow: func(int) { computed.Add(1) }},
-				n, JSONCodec[int](), noScope, noExit, square, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int(computed.Load()) != n-ie.Done {
-				t.Errorf("resume computed %d rows, checkpoint lacked %d", computed.Load(), n-ie.Done)
-			}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Fatalf("out[%d] = %d after resume, want %d", i, out[i], want[i])
+		for _, stealing := range []bool{true, false} {
+			t.Run(fmt.Sprintf("workers=%d/stealing=%v", workers, stealing), func(t *testing.T) {
+				sink := newMemSink()
+				stop := NewStopper()
+				_, err := DoRobust(
+					Options{Workers: workers, Sink: sink, Stop: stop, Cost: skew,
+						AfterRow: func(done int) {
+							if done >= 5 {
+								stop.Stop()
+							}
+						}},
+					n, JSONCodec[int](), noScope, noExit, square, nil)
+				var ie *InterruptedError
+				if !errors.As(err, &ie) {
+					t.Fatalf("err = %v, want *InterruptedError", err)
 				}
-			}
-		})
+				if ie.Done >= n || sink.len() != ie.Done {
+					t.Fatalf("interrupt bookkeeping: ie=%+v sink=%d", ie, sink.len())
+				}
+
+				var computed atomic.Int64
+				out, err := DoRobust(Options{Workers: workers, Sink: sink, Cost: skew,
+					AfterRow: func(int) { computed.Add(1) }},
+					n, JSONCodec[int](), noScope, noExit, square, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int(computed.Load()) != n-ie.Done {
+					t.Errorf("resume computed %d rows, checkpoint lacked %d", computed.Load(), n-ie.Done)
+				}
+				for i := range want {
+					if out[i] != want[i] {
+						t.Fatalf("out[%d] = %d after resume, want %d", i, out[i], want[i])
+					}
+				}
+			})
+		}
 	}
 }
