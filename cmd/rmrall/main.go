@@ -7,12 +7,13 @@
 // The fault sweeps and E16 are crash-safe: with -checkpoint FILE completed
 // rows are recorded durably, SIGINT/SIGTERM stops the sweep cooperatively
 // (exit status 3), and -resume picks up where the interrupted run stopped
-// with byte-identical final output. See also -keep-going and -row-timeout.
+// with byte-identical final output. -keep-going reports a panicking row
+// and continues; a row that never finishes ends on its step budget.
 //
 // Usage:
 //
 //	rmrall [-e E2,E11] [-quick] [-parallel N]
-//	       [-checkpoint FILE [-resume]] [-keep-going] [-row-timeout D]
+//	       [-checkpoint FILE [-resume]] [-keep-going]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //
 // -e names the tables to print, in the order given (default: all, in

@@ -8,10 +8,9 @@
 // With -sweeps it instead benchmarks the simulator-side sweep workloads
 // serially and at -parallel workers, checks the two produce byte-identical
 // results, and writes machine-readable numbers (ns/op, allocs/op, speedup)
-// to a JSON file. Adding -scaling extends the artifact with a worker-count
-// scaling curve (1, 2, 4, NumCPU; ns/op, speedup and parallel efficiency
-// per point); -min-speedup2 turns the 2-worker speedup into a pass/fail
-// gate on multicore hosts.
+// to a JSON file, together with a worker-count scaling curve (1, 2, 4,
+// NumCPU; ns/op, speedup and parallel efficiency per point); -min-speedup2
+// turns the 2-worker speedup into a pass/fail gate on multicore hosts.
 //
 // With -compare it instead diffs two -sweeps JSON artifacts and enforces
 // regression budgets on the serial measurements: the run fails if new
@@ -21,7 +20,7 @@
 // Usage:
 //
 //	rwbench [-readers 8] [-writers 2] [-dur 200ms] [-parallel N]
-//	rwbench -sweeps [-scaling [-min-speedup2 1.2]] [-out BENCH_sweeps.json] [-benchtime 1s]
+//	rwbench -sweeps [-min-speedup2 1.2] [-out BENCH_sweeps.json] [-benchtime 1s]
 //	rwbench -compare [-max-ns-ratio 1.25] [-max-alloc-ratio 1.10] old.json new.json
 package main
 
@@ -54,8 +53,7 @@ func main() {
 	sweeps := flag.Bool("sweeps", false, "benchmark the simulator sweep workloads (serial vs parallel) and write JSON")
 	out := flag.String("out", "BENCH_sweeps.json", "output path for -sweeps")
 	benchtime := flag.Duration("benchtime", time.Second, "measurement time per sweep configuration in -sweeps mode")
-	scaling := flag.Bool("scaling", false, "-sweeps: also measure the worker-count scaling curve (1/2/4/NumCPU) with scheduler counters")
-	minSpeedup2 := flag.Float64("min-speedup2", 0, "-scaling: fail unless every workload reaches this speedup at 2 workers (0 disables; skipped when NumCPU < 2)")
+	minSpeedup2 := flag.Float64("min-speedup2", 0, "-sweeps: fail unless every workload reaches this speedup at 2 workers (0 disables; skipped when NumCPU < 2)")
 	compare := flag.Bool("compare", false, "compare two -sweeps JSON files (old new) and fail on perf regressions")
 	maxNsRatio := flag.Float64("max-ns-ratio", 1.25, "-compare: max allowed new/old serial ns/op ratio (0 disables the axis)")
 	maxAllocRatio := flag.Float64("max-alloc-ratio", 1.10, "-compare: max allowed new/old serial allocs/op ratio (0 disables the axis)")
@@ -86,7 +84,7 @@ func main() {
 		cliutil.Exit(code)
 	}
 	if *sweeps {
-		if err := runSweeps(*out, *benchtime, *scaling, *minSpeedup2); err != nil {
+		if err := runSweeps(*out, *benchtime, *minSpeedup2); err != nil {
 			fmt.Fprintln(os.Stderr, "rwbench:", err)
 			cliutil.Exit(1)
 		}

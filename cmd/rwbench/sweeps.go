@@ -5,10 +5,9 @@
 // (BENCH_sweeps.json). The file also embeds the recorded pre-overhaul
 // serial baseline so speedups against the old hot path stay reviewable.
 // Each workload also records exact simulator counts per op (steps,
-// handoffs, replayed steps; sim.ReadCounts), which are deterministic. With
-// -scaling each workload is additionally measured across the
-// 1/2/4/NumCPU worker axis, recording speedup and parallel efficiency per
-// point.
+// handoffs, replayed steps; sim.ReadCounts), which are deterministic, and
+// its scaling curve across the 1/2/4/NumCPU worker axis, recording speedup
+// and parallel efficiency per point.
 package main
 
 import (
@@ -36,8 +35,8 @@ type SweepCost struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 }
 
-// ScalingPoint is one worker count on a workload's scaling curve
-// (-scaling mode). Its costs are medians over scalingRounds timings.
+// ScalingPoint is one worker count on a workload's scaling curve. Its
+// costs are medians over scalingRounds timings.
 type ScalingPoint struct {
 	Workers     int   `json:"workers"`
 	NsPerOp     int64 `json:"ns_per_op"`
@@ -65,7 +64,7 @@ type SweepResult struct {
 	// shared-memory steps, process handoffs, and steps replayed from a
 	// recorded prefix. They are the same at every worker count.
 	Counts *sim.Counts `json:"counts_per_op,omitempty"`
-	// Scaling is the worker-count scaling curve (-scaling mode only).
+	// Scaling is the worker-count scaling curve.
 	Scaling []ScalingPoint `json:"scaling,omitempty"`
 }
 
@@ -134,7 +133,7 @@ func sweepWorkloads() []sweepWorkload {
 	}
 }
 
-// scalingWorkerCounts is the -scaling worker-count axis: 1, 2, 4 and
+// scalingWorkerCounts is the scaling curve's worker-count axis: 1, 2, 4 and
 // NumCPU, deduplicated and capped at NumCPU (measuring 4 workers on a
 // 2-core host would only report scheduler overhead as if it were the
 // algorithm's fault).
@@ -157,13 +156,12 @@ func scalingWorkerCounts() []int {
 }
 
 // runSweeps measures every sweep workload at 1 worker and at GOMAXPROCS
-// workers for benchtime each and writes the JSON report to outPath. With
-// scaling it additionally measures each workload across the
-// scalingWorkerCounts axis — ns/op, speedup and parallel efficiency per
-// point — and minSpeedup2 > 0 turns the 2-worker speedup into a gate
+// workers for benchtime each, then across the scalingWorkerCounts axis —
+// ns/op, speedup and parallel efficiency per point — and writes the JSON
+// report to outPath. minSpeedup2 > 0 turns the 2-worker speedup into a gate
 // (skipped on single-CPU hosts, where there is no 2-worker point to
 // measure).
-func runSweeps(outPath string, benchtime time.Duration, scaling bool, minSpeedup2 float64) error {
+func runSweeps(outPath string, benchtime time.Duration, minSpeedup2 float64) error {
 	// testing.Benchmark sizes b.N from the test.benchtime flag, which only
 	// exists after testing.Init; registering it post-Parse is fine because
 	// it is set programmatically, never from the command line.
@@ -217,13 +215,11 @@ func runSweeps(outPath string, benchtime time.Duration, scaling bool, minSpeedup
 		fmt.Printf("%-16s per op: %d steps, %d handoffs, %d replayed steps\n",
 			w.Name, counts.Steps, counts.Handoffs, counts.Replayed)
 
-		if scaling {
-			pts, err := measureScaling(w, serialFP)
-			if err != nil {
-				return err
-			}
-			res.Scaling = pts
+		pts, err := measureScaling(w, serialFP)
+		if err != nil {
+			return err
 		}
+		res.Scaling = pts
 		rep.Experiments = append(rep.Experiments, res)
 	}
 
@@ -239,7 +235,7 @@ func runSweeps(outPath string, benchtime time.Duration, scaling bool, minSpeedup
 
 	// The gate runs after the artifact is written so a failing run still
 	// leaves the numbers behind for inspection.
-	if scaling && minSpeedup2 > 0 {
+	if minSpeedup2 > 0 {
 		if code := checkSpeedup2(rep.Experiments, minSpeedup2); code != 0 {
 			return fmt.Errorf("scaling gate failed: 2-worker speedup below %.2fx", minSpeedup2)
 		}

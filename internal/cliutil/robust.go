@@ -1,7 +1,8 @@
-// Robust-sweep flags: the -checkpoint/-resume/-keep-going/-row-timeout
-// surface of rmrall's sweeps and model check. Like ParallelFlag, the flags
-// install a process-wide default (spec.SetDefaultRobust) so every sweep in
-// the invocation inherits the chosen behaviors.
+// Robust-sweep flags: the -checkpoint/-resume/-keep-going surface of
+// rmrall's sweeps and model check. Like ParallelFlag, the flags install a
+// process-wide default (spec.SetDefaultRobust) so every sweep in the
+// invocation inherits the chosen behaviors. There is no wall-clock row
+// deadline: every row is bounded by its scenario's step budget.
 package cliutil
 
 import (
@@ -34,16 +35,14 @@ func RobustFlags() (apply func() error) {
 	resume := flag.Bool("resume", false,
 		"resume from -checkpoint FILE, recomputing only rows it is missing (the file must exist and match the sweep configuration)")
 	keepGoing := flag.Bool("keep-going", false,
-		"isolate row failures: report a panicking or timed-out sweep row and continue instead of aborting")
-	rowTimeout := flag.Duration("row-timeout", 0,
-		"wall-clock deadline per sweep row; a row exceeding it is reported as stuck (0 = none)")
+		"isolate row failures: report a panicking sweep row and continue instead of aborting")
 	interruptAfter := flag.Int("interrupt-after", 0,
 		"stop the sweep after N computed rows as if interrupted (testing hook; 0 = never)")
 	return func() error {
 		if *resume && *ckPath == "" {
 			return errors.New("-resume requires -checkpoint FILE")
 		}
-		ro := &spec.RobustOptions{KeepGoing: *keepGoing, RowTimeout: *rowTimeout}
+		ro := &spec.RobustOptions{KeepGoing: *keepGoing}
 		if *ckPath != "" {
 			st, err := checkpoint.Open(*ckPath, *resume)
 			if err != nil {
@@ -57,7 +56,7 @@ func RobustFlags() (apply func() error) {
 			ro.Store = st
 			resumableHint = true
 		}
-		if ro.Store == nil && !ro.KeepGoing && ro.RowTimeout <= 0 && *interruptAfter <= 0 {
+		if ro.Store == nil && !ro.KeepGoing && *interruptAfter <= 0 {
 			return nil
 		}
 		ro.Stop = parwork.NewStopper()

@@ -221,7 +221,7 @@ func exploreSubtrees(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Con
 		RowInfo: func(k int) string { return fmt.Sprintf("root subtree %d", k) },
 	}
 	if ro := spec.EffectiveRobust(sc); ro != nil {
-		opt.RowTimeout, opt.Stop, opt.AfterRow = ro.RowTimeout, ro.Stop, ro.AfterRow
+		opt.Stop, opt.AfterRow = ro.Stop, ro.AfterRow
 		if ro.Store != nil {
 			algName := newAlg().Name()
 			fp := checkpoint.Fingerprint("explore", algName, sc.String(),
@@ -234,7 +234,7 @@ func exploreSubtrees(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Con
 			opt.Sink = sec
 		}
 	}
-	outs, err := parwork.DoRobust(opt, roots, parwork.JSONCodec[*Result](),
+	outs, err := parwork.DoRobust(opt, roots,
 		func() struct{} { return struct{}{} }, func(struct{}) {},
 		func(_ struct{}, k int) *Result { return exploreSubtree(newAlg, sc, k, cfg.MaxRuns) }, nil)
 	return outs, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -185,7 +186,8 @@ func TestDoCostPanicPoisons(t *testing.T) {
 // over them. The stealing=B level is gone from the pool but kept in the
 // subtest names so their IDs stay stable; its two legs are two
 // independent interrupted-and-resumed runs, each under its own claim
-// interleaving.
+// interleaving. The worker counts are deduplicated, so a host whose CPU
+// count is 1 or 2 runs each leg once.
 func TestDoRobustCostInterruptAndResume(t *testing.T) {
 	const n = 40
 	skew := func(i int) int64 {
@@ -194,12 +196,14 @@ func TestDoRobustCostInterruptAndResume(t *testing.T) {
 		}
 		return int64(i + 1)
 	}
-	want, err := DoRobust(Options{Workers: 1, Cost: skew}, n, JSONCodec[int](), noScope, noExit, square, nil)
+	want, err := DoRobust(Options{Workers: 1, Cost: skew}, n, noScope, noExit, square, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+	workerCounts := []int{1, 2, runtime.NumCPU()}
+	slices.Sort(workerCounts)
+	for _, workers := range slices.Compact(workerCounts) {
 		for _, stealing := range []bool{true, false} {
 			t.Run(fmt.Sprintf("workers=%d/stealing=%v", workers, stealing), func(t *testing.T) {
 				sink := newMemSink()
@@ -211,7 +215,7 @@ func TestDoRobustCostInterruptAndResume(t *testing.T) {
 								stop.Stop()
 							}
 						}},
-					n, JSONCodec[int](), noScope, noExit, square, nil)
+					n, noScope, noExit, square, nil)
 				var ie *InterruptedError
 				if !errors.As(err, &ie) {
 					t.Fatalf("err = %v, want *InterruptedError", err)
@@ -223,7 +227,7 @@ func TestDoRobustCostInterruptAndResume(t *testing.T) {
 				var computed atomic.Int64
 				out, err := DoRobust(Options{Workers: workers, Sink: sink, Cost: skew,
 					AfterRow: func(int) { computed.Add(1) }},
-					n, JSONCodec[int](), noScope, noExit, square, nil)
+					n, noScope, noExit, square, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -77,7 +77,7 @@ func Workers(n int) int {
 // from claiming further rows and is re-raised on the calling goroutine
 // after the workers drain. Do is DoRobust with zero Options.
 func Do[T any](workers, n int, cost CostHint, job func(i int) T) []T {
-	out, _ := DoRobust(Options{Workers: workers, Cost: cost}, n, Codec[T]{},
+	out, _ := DoRobust(Options{Workers: workers, Cost: cost}, n,
 		func() struct{} { return struct{}{} }, func(struct{}) {},
 		func(_ struct{}, i int) T { return job(i) }, nil)
 	return out

@@ -131,7 +131,7 @@ func TestRowsRunTwoAtATime(t *testing.T) {
 		{"Do", runtime.GOMAXPROCS(0), func(job func(int) int) ([]int, error) { return Do(2, 2*pairs, nil, job), nil }},
 		{"Do/GOMAXPROCS=1", 1, func(job func(int) int) ([]int, error) { return Do(2, 2*pairs, nil, job), nil }},
 		{"DoRobust/checkpointed", runtime.GOMAXPROCS(0), func(job func(int) int) ([]int, error) {
-			return DoRobust(Options{Workers: 2, Sink: newMemSink()}, 2*pairs, JSONCodec[int](),
+			return DoRobust(Options{Workers: 2, Sink: newMemSink()}, 2*pairs,
 				noScope, noExit, func(_ struct{}, i int) int { return job(i) }, nil)
 		}},
 	} {

@@ -55,7 +55,7 @@ func TestDoRobustPlain(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var computed atomic.Int64
 		out, err := DoRobust(Options{Workers: workers, AfterRow: func(int) { computed.Add(1) }},
-			10, JSONCodec[int](), noScope, noExit, square, nil)
+			10, noScope, noExit, square, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestDoRobustPlain(t *testing.T) {
 func TestDoRobustReusesStatePerWorker(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		var entered, exited, rows atomic.Int64
-		got, err := DoRobust(Options{Workers: workers}, 12, Codec[int]{},
+		got, err := DoRobust(Options{Workers: workers}, 12,
 			func() *int { entered.Add(1); s := 0; return &s },
 			func(s *int) { exited.Add(1); rows.Add(int64(*s)) },
 			func(s *int, i int) int { *s++; return i },
@@ -109,7 +109,7 @@ func TestDoRobustRestoreSkipsCompletedRows(t *testing.T) {
 		}
 	}
 	var ran atomic.Int64
-	out, err := DoRobust(Options{Workers: 4, Sink: sink}, 10, JSONCodec[int](), noScope, noExit,
+	out, err := DoRobust(Options{Workers: 4, Sink: sink}, 10, noScope, noExit,
 		func(_ struct{}, i int) int {
 			ran.Add(1)
 			return i * i
@@ -135,7 +135,7 @@ func TestDoRobustRestoreCorruptPayload(t *testing.T) {
 	if err := sink.Record(2, []byte("not an int")); err != nil {
 		t.Fatal(err)
 	}
-	_, err := DoRobust(Options{Workers: 2, Sink: sink}, 5, JSONCodec[int](), noScope, noExit, square, nil)
+	_, err := DoRobust(Options{Workers: 2, Sink: sink}, 5, noScope, noExit, square, nil)
 	if err == nil || !strings.Contains(err.Error(), "restore row 2") {
 		t.Fatalf("err = %v, want restore failure for row 2", err)
 	}
@@ -152,7 +152,7 @@ func TestDoRobustKeepGoingPanic(t *testing.T) {
 				Options{Workers: workers, KeepGoing: true, Sink: sink,
 					RowInfo:  func(i int) string { return fmt.Sprintf("point %d", i) },
 					AfterRow: func(int) { computed.Add(1) }},
-				10, JSONCodec[int](), noScope, noExit,
+				10, noScope, noExit,
 				func(_ struct{}, i int) int {
 					if i == 4 {
 						panic("injected row failure")
@@ -173,7 +173,7 @@ func TestDoRobustKeepGoingPanic(t *testing.T) {
 				t.Fatalf("failures = %v, want exactly one", failures)
 			}
 			f := failures[0]
-			if f.Index != 4 || f.Stuck || f.PanicValue != "injected row failure" {
+			if f.Index != 4 || f.PanicValue != "injected row failure" {
 				t.Errorf("failure = %+v", f)
 			}
 			if f.Info != "point 4" {
@@ -210,7 +210,7 @@ func TestDoRobustFailFastPanicFlushesThenRepanics(t *testing.T) {
 	sink := newMemSink()
 	didPanic := func() (v any) {
 		defer func() { v = recover() }()
-		DoRobust(Options{Workers: 1, Sink: sink}, 10, JSONCodec[int](), noScope, noExit,
+		DoRobust(Options{Workers: 1, Sink: sink}, 10, noScope, noExit,
 			func(_ struct{}, i int) int {
 				if i == 3 {
 					panic("boom")
@@ -233,74 +233,56 @@ func TestDoRobustFailFastPanicFlushesThenRepanics(t *testing.T) {
 	}
 }
 
-func TestDoRobustFailFastTimeout(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	_, err := DoRobust(Options{Workers: 2, RowTimeout: 50 * time.Millisecond}, 6, JSONCodec[int](), noScope, noExit,
-		func(_ struct{}, i int) int {
-			if i == 1 {
-				<-block
-			}
-			return i
-		}, nil)
-	var rf *RowFailure
-	if !errors.As(err, &rf) {
-		t.Fatalf("err = %v, want *RowFailure", err)
-	}
-	if rf.Index != 1 || !rf.Stuck || rf.Elapsed != 50*time.Millisecond {
-		t.Errorf("failure = %+v", rf)
-	}
-	if rf.Stack == "" {
-		t.Error("stuck row captured no stack dump")
-	}
+// blockingSink is a memSink whose first Flush blocks until every row has
+// started, and which notes whether two flushes were ever in flight at once.
+type blockingSink struct {
+	*memSink
+	allStarted chan struct{}
+	first      atomic.Bool
+	inFlight   atomic.Int64
+	overlapped atomic.Bool
 }
 
-func TestDoRobustKeepGoingStuckRowReplacesScope(t *testing.T) {
-	var enters, exits atomic.Int64
-	block := make(chan struct{})
-	var failures []*RowFailure
-	out, err := DoRobust(
-		Options{Workers: 1, KeepGoing: true, RowTimeout: 50 * time.Millisecond},
-		5, JSONCodec[int](),
-		func() int { return int(enters.Add(1)) },
-		func(int) { exits.Add(1) },
-		func(scope int, i int) int {
-			if i == 2 {
-				<-block
+func (s *blockingSink) Flush() error {
+	if s.inFlight.Add(1) > 1 {
+		s.overlapped.Store(true)
+	}
+	defer s.inFlight.Add(-1)
+	if s.first.CompareAndSwap(false, true) {
+		<-s.allStarted
+	}
+	return s.memSink.Flush()
+}
+
+// TestDoRobustFlushesOneAtATime: the Sink contract rules out concurrent
+// Flush calls, so a periodic flush that comes due while another is still
+// running is skipped. The first flush here blocks until every row has
+// started, so the other worker passes the next flush point meanwhile.
+func TestDoRobustFlushesOneAtATime(t *testing.T) {
+	const n = 3 * flushEvery
+	sink := &blockingSink{memSink: newMemSink(), allStarted: make(chan struct{})}
+	var started atomic.Int64
+	_, err := DoRobust(Options{Workers: 2, Sink: sink}, n, noScope, noExit,
+		func(_ struct{}, i int) int {
+			if started.Add(1) == n {
+				close(sink.allStarted)
 			}
-			return i * 10
-		},
-		func(i int, f *RowFailure) int { failures = append(failures, f); return -1 },
-	)
+			return i * i
+		}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failures) != 1 || failures[0].Index != 2 || !failures[0].Stuck {
-		t.Fatalf("failures = %+v", failures)
+	if sink.overlapped.Load() {
+		t.Error("a second Flush entered while the first was still running")
 	}
-	if out[2] != -1 || out[4] != 40 {
-		t.Fatalf("out = %v; rows after the stuck one must still run", out)
-	}
-	// The worker abandoned its wedged scope and entered a fresh one.
-	if enters.Load() != 2 {
-		t.Errorf("enter called %d times, want 2 (initial + replacement)", enters.Load())
-	}
-	// Unblock the abandoned goroutine: it must release the old scope
-	// itself, balancing the books.
-	close(block)
-	deadline := time.After(2 * time.Second)
-	for exits.Load() != enters.Load() {
-		select {
-		case <-deadline:
-			t.Fatalf("enters=%d exits=%d never balanced", enters.Load(), exits.Load())
-		case <-time.After(time.Millisecond):
-		}
+	if sink.len() != n {
+		t.Errorf("sink holds %d rows, want %d", sink.len(), n)
 	}
 }
 
 func TestDoRobustInterruptAndResume(t *testing.T) {
 	const n = 40
-	want, err := DoRobust(Options{Workers: 1}, n, JSONCodec[int](), noScope, noExit, square, nil)
+	want, err := DoRobust(Options{Workers: 1}, n, noScope, noExit, square, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +298,7 @@ func TestDoRobustInterruptAndResume(t *testing.T) {
 							stop.Stop()
 						}
 					}},
-				n, JSONCodec[int](), noScope, noExit, square, nil)
+				n, noScope, noExit, square, nil)
 			var ie *InterruptedError
 			if !errors.As(err, &ie) {
 				t.Fatalf("err = %v, want *InterruptedError", err)
@@ -332,7 +314,7 @@ func TestDoRobustInterruptAndResume(t *testing.T) {
 			// everything and the merged output is identical.
 			var computed atomic.Int64
 			out2, err := DoRobust(Options{Workers: workers, Sink: sink, AfterRow: func(int) { computed.Add(1) }},
-				n, JSONCodec[int](), noScope, noExit, square, nil)
+				n, noScope, noExit, square, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +334,7 @@ func TestDoRobustStopBeforeStartComputesNothing(t *testing.T) {
 	stop := NewStopper()
 	stop.Stop()
 	var ran atomic.Int64
-	_, err := DoRobust(Options{Workers: 4, Stop: stop}, 10, JSONCodec[int](), noScope, noExit,
+	_, err := DoRobust(Options{Workers: 4, Stop: stop}, 10, noScope, noExit,
 		func(_ struct{}, i int) int { ran.Add(1); return i }, nil)
 	var ie *InterruptedError
 	if !errors.As(err, &ie) || ie.Done != 0 {

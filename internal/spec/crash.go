@@ -48,7 +48,10 @@ type CrashOutcome struct {
 	// BudgetExceeded reports that the run hit the step budget instead of
 	// terminating or being caught by the watchdog. Because every wait in
 	// the simulated algorithms is a local-spin Await, this must never
-	// happen: it would mean a hang escaped deterministic detection.
+	// happen for them. A lock whose waiters busy-wait with steps instead
+	// (a Read-polling loop, which rwlint's spinloop analyzer rejects in
+	// algorithm code, or a retry loop that keeps writing) livelocks past
+	// the watchdog, and the budget ends such a row deterministically.
 	BudgetExceeded bool
 	// Err holds any other execution error (setup failure etc).
 	Err error

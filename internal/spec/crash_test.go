@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/baseline"
@@ -72,5 +73,79 @@ func TestCrashSweepMootPoint(t *testing.T) {
 	}
 	if !out.Live() || !out.Safe() {
 		t.Errorf("moot point outcome not live+safe: %+v", out)
+	}
+}
+
+// writeSpinTAS is a test-and-set lock whose waiters busy-wait by writing a
+// scratch variable instead of Awaiting the lock word. Every iteration is
+// a step, so the no-progress watchdog never sees the waiters blocked: if
+// the holder crashes inside the CS the survivors livelock, and only the
+// step budget ends the run.
+type writeSpinTAS struct {
+	lock, scratch memmodel.Var
+}
+
+func (l *writeSpinTAS) Name() string { return "write-spin-tas" }
+
+func (l *writeSpinTAS) Init(a memmodel.Allocator, _, _ int) error {
+	l.lock = a.Alloc("L", 0)
+	l.scratch = a.Alloc("spin", 0)
+	return nil
+}
+
+func (l *writeSpinTAS) enter(p memmodel.Proc) {
+	for {
+		if _, ok := p.CAS(l.lock, 0, 1); ok {
+			return
+		}
+		p.Write(l.scratch, uint64(p.ID()))
+	}
+}
+
+func (l *writeSpinTAS) ReaderEnter(p memmodel.Proc, _ int) { l.enter(p) }
+func (l *writeSpinTAS) ReaderExit(p memmodel.Proc, _ int)  { p.Write(l.lock, 0) }
+func (l *writeSpinTAS) WriterEnter(p memmodel.Proc, _ int) { l.enter(p) }
+func (l *writeSpinTAS) WriterExit(p memmodel.Proc, _ int)  { p.Write(l.lock, 0) }
+func (l *writeSpinTAS) Props() memmodel.Props              { return memmodel.Props{UsesCAS: true} }
+
+// TestCrashSweepLivelockEndsOnBudget: a row that would run forever ends on
+// its step budget, deterministically. Crashing the holder of a write-spin
+// lock inside its CS livelocks the survivors; those rows must end
+// BudgetExceeded, with identical outcomes at one and two workers, and
+// keep-going must not turn them into row failures.
+func TestCrashSweepLivelockEndsOnBudget(t *testing.T) {
+	newAlg := func() memmodel.Algorithm { return &writeSpinTAS{} }
+	var want string
+	for _, tc := range []struct {
+		workers   int
+		keepGoing bool
+	}{{1, false}, {2, false}, {1, true}, {2, true}} {
+		sc := Scenario{NReaders: 1, NWriters: 1, ReaderPassages: 1, WriterPassages: 1,
+			MaxSteps: 2000, Parallel: tc.workers, Robust: &RobustOptions{KeepGoing: tc.keepGoing}}
+		outs, err := CrashSweep(newAlg, sc, 0, nil)
+		if err != nil {
+			t.Fatalf("workers=%d keep-going=%v: %v", tc.workers, tc.keepGoing, err)
+		}
+		budget := 0
+		for _, o := range outs {
+			if o.BudgetExceeded {
+				budget++
+			}
+			if o.Err != nil || o.Hung || !o.Safe() {
+				t.Errorf("workers=%d keep-going=%v %s: err=%v hung=%v ME=%v",
+					tc.workers, tc.keepGoing, o.Point, o.Err, o.Hung, o.MEViolations)
+			}
+		}
+		if budget == 0 || budget == len(outs) {
+			t.Errorf("workers=%d keep-going=%v: %d of %d rows hit the step budget, want some but not all",
+				tc.workers, tc.keepGoing, budget, len(outs))
+		}
+		got := fmt.Sprintf("%+v", outs)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("workers=%d keep-going=%v: outcomes differ from the serial sweep:\n got %s\nwant %s",
+				tc.workers, tc.keepGoing, got, want)
+		}
 	}
 }

@@ -9,7 +9,6 @@ package spec
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/parwork"
@@ -26,15 +25,13 @@ type RobustOptions struct {
 	// checkpoint (different configuration) fails the sweep with a typed
 	// *checkpoint.MismatchError.
 	Store *checkpoint.Store
-	// KeepGoing isolates row failures: a panicking or timed-out row is
-	// reported inside its result slot (the outcome's Err holds the
+	// KeepGoing isolates row failures: a panicking row is reported
+	// inside its result slot (the outcome's Err holds the
 	// *parwork.RowFailure) and the sweep continues. Default is
-	// fail-fast.
+	// fail-fast. A row that would run forever is not a failure here: the
+	// scenario's step budget (Scenario.MaxSteps) ends it as a
+	// BudgetExceeded outcome, the same at every worker count.
 	KeepGoing bool
-	// RowTimeout, when positive, is the wall-clock deadline for one
-	// sweep row; a row exceeding it is reported as a stuck-row
-	// *parwork.RowFailure with an all-goroutine stack dump.
-	RowTimeout time.Duration
 	// Stop, when non-nil, cooperatively cancels the sweep: workers stop
 	// claiming rows, the checkpoint is flushed, and the sweep returns a
 	// *parwork.InterruptedError. The cmd binaries wire SIGINT/SIGTERM
@@ -50,7 +47,7 @@ var defaultRobust atomic.Pointer[RobustOptions]
 
 // SetDefaultRobust installs the process-wide robust options applied to
 // every sweep whose Scenario.Robust is nil. The cmd binaries call it from
-// their -checkpoint/-resume/-keep-going/-row-timeout flags, mirroring how
+// their -checkpoint/-resume/-keep-going flags, mirroring how
 // parwork.SetDefault carries -parallel. Pass nil to clear.
 func SetDefaultRobust(o *RobustOptions) { defaultRobust.Store(o) }
 

@@ -55,9 +55,9 @@ type Scenario struct {
 	Parallel int
 	// Robust selects the sweep entry points' robust execution options
 	// (checkpointing, cooperative cancellation, per-row failure
-	// isolation, row deadline — see RobustOptions). nil selects the
-	// process default (SetDefaultRobust, set by the cmd binaries'
-	// -checkpoint/-resume/-keep-going/-row-timeout flags); a non-nil
+	// isolation — see RobustOptions). nil selects the process default
+	// (SetDefaultRobust, set by the cmd binaries'
+	// -checkpoint/-resume/-keep-going flags); a non-nil
 	// zero-valued struct opts OUT of that default, forcing a plain
 	// fan-out. Single executions ignore it. Like Parallel it never
 	// affects results: a resumed or keep-going sweep fills the same

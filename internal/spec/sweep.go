@@ -156,7 +156,7 @@ func sweep[P, T any](sc Scenario, pl sweepPlan[P, T]) ([]T, error) {
 		},
 	}
 	if ro := EffectiveRobust(sc); ro != nil {
-		opt.KeepGoing, opt.RowTimeout, opt.Stop, opt.AfterRow = ro.KeepGoing, ro.RowTimeout, ro.Stop, ro.AfterRow
+		opt.KeepGoing, opt.Stop, opt.AfterRow = ro.KeepGoing, ro.Stop, ro.AfterRow
 		if ro.Store != nil {
 			// The scheduler family is probed on the first seed; it is
 			// seed-uniform.
@@ -173,7 +173,7 @@ func sweep[P, T any](sc Scenario, pl sweepPlan[P, T]) ([]T, error) {
 			opt.Sink = sec
 		}
 	}
-	outs, err := parwork.DoRobust(opt, len(rows), parwork.JSONCodec[T](),
+	outs, err := parwork.DoRobust(opt, len(rows),
 		func() *runnerCache { return &runnerCache{} },
 		(*runnerCache).close,
 		func(c *runnerCache, i int) T {
