@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,9 +34,9 @@ func TestTokenRoundTrip(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	recs := []*Record{
 		{LSN: 1, Type: RecHello, Session: "s1", TTLMS: 500, Expiry: 12345},
-		{LSN: 2, Type: RecGrant, Session: "s1", Key: "k", Mode: "w", Shard: 2, Word: 7, Token: MakeToken(1, 9)},
+		{LSN: 2, Type: RecGrant, Session: "s1", Key: "k", Mode: "w", Shard: 2},
 		{LSN: 3, Type: RecResp, Session: "s1", Seq: 4, Resp: []byte(`{"seq":4,"ok":true}`)},
-		{LSN: 4, Type: RecRelease, Session: "s1", Key: "k", Mode: "r", Shard: -1, Word: -300, TTLMS: -5, Expiry: -1},
+		{LSN: 4, Type: RecRelease, Session: "s1", Key: "k", Mode: "r", Shard: -300, TTLMS: -5, Expiry: -1},
 		{LSN: 5, Type: RecEpoch, Epoch: 2},
 	}
 	var buf []byte
@@ -125,15 +126,15 @@ func TestReadLogBitFlip(t *testing.T) {
 }
 
 func TestApplyLifecycleAndLedger(t *testing.T) {
-	st := NewState(2, 4)
+	st := NewState(2)
 	st.Apply(&Record{Type: RecHello, Session: "a", TTLMS: 100, Expiry: 50})
 	st.Apply(&Record{Type: RecHello, Session: "b", TTLMS: 100, Expiry: 60})
-	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k", Mode: "w", Shard: 1, Word: 2, Token: MakeToken(1, 5)})
+	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k", Mode: "w", Shard: 1})
 	if len(st.Sessions) != 2 || st.Sessions["b"].Expiry != 60 {
 		t.Fatalf("sessions after hello: %+v", st.Sessions)
 	}
-	if got := st.Shards[1].Words[2]; got != 5 {
-		t.Fatalf("word counter = %d, want 5", got)
+	if got := st.Shards[1].Counters.WriteGrants; got != 1 {
+		t.Fatalf("shard 1 write grants = %d, want 1", got)
 	}
 	if holds := st.HoldCount(); holds != 1 {
 		t.Fatalf("holds=%d", holds)
@@ -151,14 +152,14 @@ func TestApplyLifecycleAndLedger(t *testing.T) {
 	// A ghost grant (session already expired out of the log) still lands
 	// in the ledger as an immediately revoked passage.
 	st.Apply(&Record{Type: RecExpire, Session: "a"})
-	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k2", Mode: "w", Shard: 0, Word: 0, Token: MakeToken(1, 1)})
+	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k2", Mode: "w", Shard: 0})
 	c := st.Shards[0].Counters
 	if c.WriteGrants != 1 || c.Revoked != 1 || c.RevokedWrite != 1 {
 		t.Fatalf("ghost grant counters: %+v", c)
 	}
 
 	// Epoch bump fences the remaining holds.
-	st.Apply(&Record{Type: RecGrant, Session: "b", Key: "k3", Mode: "r", Shard: 0, Word: 1, Token: MakeToken(1, 0)})
+	st.Apply(&Record{Type: RecGrant, Session: "b", Key: "k3", Mode: "r", Shard: 0})
 	st.Apply(&Record{Type: RecEpoch, Epoch: 2})
 	if st.Epoch != 2 {
 		t.Fatalf("epoch = %d", st.Epoch)
@@ -175,8 +176,46 @@ func TestApplyLifecycleAndLedger(t *testing.T) {
 	}
 }
 
+// TestApplyNeverGrowsShards: a record naming a shard outside the state
+// (a CRC-valid frame with a huge Shard, or a WAL written under more
+// shards) is charged to shard 0 instead of growing the state up to its
+// index, and so is a negative index. A state loaded from a snapshot
+// whose state is null still has its shards.
+func TestApplyNeverGrowsShards(t *testing.T) {
+	st := NewState(2)
+	st.Apply(&Record{Type: RecHello, Session: "s"})
+	st.Apply(&Record{Type: RecGrant, Session: "s", Key: "k", Mode: "w", Shard: 1 << 20})
+	st.Apply(&Record{Type: RecRelease, Session: "s", Key: "k", Mode: "w", Shard: -1})
+	st.Apply(&Record{Type: RecGrant, Session: "s", Key: "k", Mode: "r", Shard: 2})
+	if len(st.Shards) != 2 {
+		t.Fatalf("%d shards after records naming shards 1<<20, -1 and 2, want 2", len(st.Shards))
+	}
+	if c := st.Shards[0].Counters; c.WriteGrants != 1 || c.ReadGrants != 1 || c.Releases != 1 {
+		t.Fatalf("shard 0 counters %+v, want the write grant, the read grant and the release", c)
+	}
+
+	dir := t.TempDir()
+	null := fmt.Sprintf(`{"version":%d,"fingerprint":%q,"last_lsn":0,"state":null}`, SnapshotVersion, GeometryFingerprint(3))
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(null), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := Open(dir, Options{Shards: 3, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !info.SnapshotLoaded {
+		t.Fatal("the null snapshot was not loaded")
+	}
+	mustAppend(t, s, &Record{Type: RecGrant, Session: "gone", Key: "k", Mode: "w", Shard: 7})
+	got := s.State()
+	if len(got.Shards) != 3 || got.Shards[0].Counters.WriteGrants != 1 {
+		t.Fatalf("state from a null snapshot: %s", dump(got))
+	}
+}
+
 func TestApplyRespCacheCapAndMaxSeq(t *testing.T) {
-	st := NewState(1, 1)
+	st := NewState(1)
 	st.Apply(&Record{Type: RecHello, Session: "s"})
 	for i := 1; i <= RespCacheCap+10; i++ {
 		st.Apply(&Record{Type: RecResp, Session: "s", Seq: uint64(i), Resp: []byte(`{"ok":true}`)})
@@ -195,7 +234,7 @@ func TestApplyRespCacheCapAndMaxSeq(t *testing.T) {
 
 func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 2, WordsPerShard: 4, Fsync: FsyncNever}
+	opts := Options{Shards: 2, Fsync: FsyncNever}
 	s, info, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +246,7 @@ func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAppend(t, s, &Record{Type: RecHello, Session: "s", TTLMS: 1000, Expiry: time.Now().Add(time.Hour).UnixNano()})
-	mustAppend(t, s, &Record{Type: RecGrant, Session: "s", Key: "k", Mode: "w", Shard: 1, Word: 3, Token: MakeToken(1, 42)})
+	mustAppend(t, s, &Record{Type: RecGrant, Session: "s", Key: "k", Mode: "w", Shard: 1})
 	s.Crash() // kill -9: no snapshot, no final sync
 
 	s2, info2, err := Open(dir, opts)
@@ -232,8 +271,8 @@ func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 	if h := st.HoldCount(); h != 0 {
 		t.Fatalf("post-bump holds=%d", h)
 	}
-	if got := st.Shards[1].Words[3]; got != 42 {
-		t.Fatalf("restored word counter %d, want 42", got)
+	if got := st.Shards[1].Counters.WriteGrants; got != 1 {
+		t.Fatalf("restored shard 1 write grants %d, want 1", got)
 	}
 	if st.Shards[0].Counters.Fenced+st.Shards[1].Counters.Fenced != 1 {
 		t.Fatalf("fenced counters: %+v %+v", st.Shards[0].Counters, st.Shards[1].Counters)
@@ -242,7 +281,7 @@ func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 
 func TestStoreSnapshotRotationAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 1, WordsPerShard: 2, Fsync: FsyncNever, SnapshotEvery: 8}
+	opts := Options{Shards: 1, Fsync: FsyncNever, SnapshotEvery: 8}
 	s, _, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +327,7 @@ func TestStoreSnapshotRotationAndTornTail(t *testing.T) {
 
 func TestSnapshotGeometryMismatch(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := Open(dir, Options{Shards: 2, WordsPerShard: 4, Fsync: FsyncNever})
+	s, _, err := Open(dir, Options{Shards: 2, Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +338,7 @@ func TestSnapshotGeometryMismatch(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Open(dir, Options{Shards: 4, WordsPerShard: 4, Fsync: FsyncNever})
+	_, _, err = Open(dir, Options{Shards: 4, Fsync: FsyncNever})
 	var me *MismatchError
 	if !errors.As(err, &me) {
 		t.Fatalf("resharded open: want *MismatchError, got %T %v", err, err)
@@ -311,7 +350,7 @@ func TestOpenRejectsForeignWAL(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("definitely not a WAL file......."), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Open(dir, Options{Shards: 1, WordsPerShard: 1})
+	_, _, err := Open(dir, Options{Shards: 1})
 	var ce *CorruptError
 	if !errors.As(err, &ce) || ce.Reason != "magic" {
 		t.Fatalf("want *CorruptError(magic), got %T %v", err, err)

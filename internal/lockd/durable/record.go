@@ -9,10 +9,11 @@
 //
 // The durable state is the service's bookkeeping, not the lock algorithms:
 // session leases (with absolute expiry deadlines, so the lease sweeper
-// re-arms after a restart), held lock entries, per-word fencing
-// counters, and the per-session at-most-once response caches. Queued
-// waiters are not logged: their connections never survive a restart, so
-// no restart could restore them.
+// re-arms after a restart), held lock entries, the per-shard ledger
+// counters, and the per-session at-most-once response caches. Fencing
+// counters and queued waiters are not logged: the epoch bump alone keeps
+// post-restart tokens above every earlier one, and a queued waiter's
+// connection never survives a restart, so no restart needs either.
 // Everything here is real concurrency (files, mutexes) by design and is
 // pinned outside the rwlint memdiscipline scope, like the rest of
 // internal/lockd.
@@ -45,8 +46,7 @@ const (
 	RecBye
 	// RecExpire removes a session whose lease lapsed, revoking its holds.
 	RecExpire
-	// RecGrant installs a hold and, for writes, advances the shard word's
-	// fencing counter to the token's counter part.
+	// RecGrant installs a hold and counts the grant on its shard.
 	RecGrant
 	// RecRelease removes a hold.
 	RecRelease
@@ -79,9 +79,6 @@ type Record struct {
 	Key   string
 	Mode  string
 	Shard int
-	Word  int
-	// Token is the epoch-qualified fencing token of a write grant.
-	Token uint64
 
 	Seq uint64
 	// Resp is the cached response, stored as opaque bytes.
@@ -129,11 +126,11 @@ func (e *ShortError) Error() string {
 // otherwise send the reader chasing gigabytes).
 //
 // Body layout: the type byte, then the numbers LSN, TTLMS, Expiry,
-// Shard, Word, Token, Seq and Epoch (uvarints, signed fields as zigzag
-// varints), then Session, Key, Mode and Resp, each a uvarint length and
-// its bytes. Every field is present in every record, so each record has
-// exactly one encoding: the decoder rejects non-minimal varints and
-// trailing bytes, and re-encoding a decoded body gives the same bytes.
+// Shard, Seq and Epoch (uvarints, signed fields as zigzag varints), then
+// Session, Key, Mode and Resp, each a uvarint length and its bytes.
+// Every field is present in every record, so each record has exactly one
+// encoding: the decoder rejects non-minimal varints and trailing bytes,
+// and re-encoding a decoded body gives the same bytes.
 const (
 	frameHeader = 8
 	MaxFrame    = 1 << 20
@@ -154,8 +151,6 @@ func AppendFrame(buf []byte, rec *Record) ([]byte, error) {
 	buf = binary.AppendVarint(buf, rec.TTLMS)
 	buf = binary.AppendVarint(buf, rec.Expiry)
 	buf = binary.AppendVarint(buf, int64(rec.Shard))
-	buf = binary.AppendVarint(buf, int64(rec.Word))
-	buf = binary.AppendUvarint(buf, rec.Token)
 	buf = binary.AppendUvarint(buf, rec.Seq)
 	buf = binary.AppendUvarint(buf, rec.Epoch)
 	buf = appendBytes(buf, rec.Session)
@@ -248,8 +243,6 @@ func decodeBody(body []byte, rec *Record) error {
 		TTLMS:  r.varint(),
 		Expiry: r.varint(),
 		Shard:  int(r.varint()),
-		Word:   int(r.varint()),
-		Token:  r.uvarint(),
 		Seq:    r.uvarint(),
 		Epoch:  r.uvarint(),
 	}

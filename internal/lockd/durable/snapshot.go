@@ -10,7 +10,7 @@ import (
 
 // SnapshotVersion is the snapshot file format version; a file written by
 // a different version is rejected with a *MismatchError.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 // MismatchError reports a snapshot or WAL written for a different
 // configuration than the server opening it: a format-version bump, or a
@@ -33,8 +33,8 @@ func (e *MismatchError) Error() string {
 type snapshotFile struct {
 	Version int `json:"version"`
 	// Fingerprint pins the shard geometry (checkpoint.Fingerprint over
-	// shard and word counts) so a snapshot can never be replayed into a
-	// server with a different key->shard mapping.
+	// the shard count) so a snapshot can never be replayed into a server
+	// with a different key->shard mapping.
 	Fingerprint string `json:"fingerprint"`
 	// LastLSN is the log sequence number of the last record folded into
 	// State; replay skips WAL records at or below it, which is what makes
@@ -47,8 +47,8 @@ type snapshotFile struct {
 // that determine the durable state's shape. It reuses the checkpoint
 // fingerprint machinery (length-prefixed SHA-256) so the hygiene is
 // shared: everything that shapes the state, nothing execution-dependent.
-func GeometryFingerprint(shards, wordsPerShard int) string {
-	return checkpoint.Fingerprint("lockd-durable", fmt.Sprint(shards), fmt.Sprint(wordsPerShard))
+func GeometryFingerprint(shards int) string {
+	return checkpoint.Fingerprint("lockd-durable", fmt.Sprint(shards))
 }
 
 // writeSnapshot persists st atomically via the checkpoint temp-file+
@@ -70,8 +70,10 @@ func writeSnapshot(path, fingerprint string, lastLSN uint64, st *State) error {
 
 // loadSnapshot reads the snapshot at path. A missing file yields a nil
 // state (fresh directory); an unparsable file is a typed *CorruptError;
-// a version or geometry mismatch is a typed *MismatchError.
-func loadSnapshot(path, fingerprint string) (*State, uint64, error) {
+// a version or geometry mismatch is a typed *MismatchError. A loaded
+// state has at least the given number of shards (at least one, as Open
+// passes it), even if the file's state is null.
+func loadSnapshot(path, fingerprint string, shards int) (*State, uint64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -96,6 +98,9 @@ func loadSnapshot(path, fingerprint string) (*State, uint64, error) {
 	}
 	if f.State.Sessions == nil {
 		f.State.Sessions = map[string]*SessionState{}
+	}
+	for len(f.State.Shards) < shards {
+		f.State.Shards = append(f.State.Shards, &ShardState{})
 	}
 	return f.State, f.LastLSN, nil
 }

@@ -7,22 +7,24 @@ import (
 
 // Fencing tokens fold the server epoch into their high bits: any token
 // minted in epoch e+1 is numerically greater than every token minted in
-// epoch e, regardless of the per-key counters. That dominance is what
-// makes replay safe even under a lossy fsync policy — if the WAL lost the
-// final pre-crash grants, the restored counters may lag tokens already
-// handed out, but the bumped epoch keeps every new token strictly above
-// every old one, so a replayed server can never re-mint a token a client
-// already observed.
+// epoch e, whatever its counter part. That dominance is the whole fence:
+// the counter part is a per-shard write count that starts at zero in
+// every epoch and is never logged, so a restart restores no counter, and
+// a WAL that lost its final pre-crash grants under a lossy fsync policy
+// loses nothing a token depends on. The durably bumped epoch keeps every
+// new token strictly above every old one, so a restarted server can
+// never re-mint a token a client already observed.
 const (
 	// EpochBits is the width of the epoch field (high bits); the counter
 	// takes the rest. 16 bits of epoch is 65535 restarts per data
-	// directory; 48 bits of counter is ~2.8e14 write passages per key.
+	// directory; 48 bits of counter is ~2.8e14 write passages per shard
+	// per epoch.
 	EpochBits   = 16
 	counterBits = 64 - EpochBits
 	counterMask = (uint64(1) << counterBits) - 1
 )
 
-// MakeToken folds an epoch and a per-key counter into one fencing token.
+// MakeToken folds an epoch and a per-shard counter into one fencing token.
 func MakeToken(epoch, counter uint64) uint64 {
 	return epoch<<counterBits | counter&counterMask
 }
@@ -30,7 +32,7 @@ func MakeToken(epoch, counter uint64) uint64 {
 // TokenEpoch extracts the epoch a token was minted under.
 func TokenEpoch(tok uint64) uint64 { return tok >> counterBits }
 
-// TokenCounter extracts a token's per-key counter part.
+// TokenCounter extracts a token's counter part.
 func TokenCounter(tok uint64) uint64 { return tok & counterMask }
 
 // HoldState is one held lock entry.
@@ -76,10 +78,8 @@ type Counters struct {
 	FencedWrite uint64 `json:"fenced_write"`
 }
 
-// ShardState is one shard's durable state: the per-word write-passage
-// counters and the ledger counters.
+// ShardState is one shard's durable state: its ledger counters.
 type ShardState struct {
-	Words    []uint64 `json:"words"`
 	Counters Counters `json:"counters"`
 }
 
@@ -93,11 +93,13 @@ type State struct {
 	Shards   []*ShardState            `json:"shards"`
 }
 
-// NewState returns an empty state with the given shard geometry.
-func NewState(shards, wordsPerShard int) *State {
-	st := &State{Sessions: map[string]*SessionState{}, Shards: make([]*ShardState, shards)}
+// NewState returns an empty state with the given number of shards, and
+// at least one: Apply charges records that name no shard of the state to
+// shard 0.
+func NewState(shards int) *State {
+	st := &State{Sessions: map[string]*SessionState{}, Shards: make([]*ShardState, max(shards, 1))}
 	for i := range st.Shards {
-		st.Shards[i] = &ShardState{Words: make([]uint64, wordsPerShard)}
+		st.Shards[i] = &ShardState{}
 	}
 	return st
 }
@@ -117,7 +119,7 @@ func (st *State) Clone() *State {
 	}
 	out.Shards = make([]*ShardState, len(st.Shards))
 	for i, sh := range st.Shards {
-		out.Shards[i] = &ShardState{Words: append([]uint64(nil), sh.Words...), Counters: sh.Counters}
+		out.Shards[i] = &ShardState{Counters: sh.Counters}
 	}
 	return out
 }
@@ -142,30 +144,16 @@ func (st *State) SessionIDs() []string {
 	return ids
 }
 
-// shard returns the shard state for idx, growing the slice defensively so
-// apply is total even on a log written under a different geometry (Open
-// rejects those via the fingerprint; this guard keeps raw replay — and
-// the fuzz targets — panic-free regardless).
+// shard returns the shard state for idx. It never grows the state: an
+// index outside it (a WAL written under more shards, or a CRC-valid
+// record naming a huge shard) is charged to shard 0, as expire and epoch
+// records are; every consumer sums the counters across shards, so the
+// totals stay exact and replay cannot be made to allocate.
 func (st *State) shard(idx int) *ShardState {
-	if idx < 0 {
+	if idx < 0 || idx >= len(st.Shards) {
 		idx = 0
 	}
-	for idx >= len(st.Shards) {
-		st.Shards = append(st.Shards, &ShardState{})
-	}
 	return st.Shards[idx]
-}
-
-func (sh *ShardState) bumpWord(word int, counter uint64) {
-	if word < 0 {
-		return
-	}
-	for word >= len(sh.Words) {
-		sh.Words = append(sh.Words, 0)
-	}
-	if counter > sh.Words[word] {
-		sh.Words[word] = counter
-	}
 }
 
 func findHold(list []HoldState, key, mode string) (int, bool) {
@@ -199,11 +187,11 @@ func (c *Counters) countRevoked(mode string, fenced bool) {
 
 // Apply folds one record into the state. It is shared by replay and the
 // Store's shadow, is total (any record sequence yields some state, never
-// a panic), and is idempotent where replay needs it to be: word counters
-// advance by max, duplicate holds are not double-inserted, and records
-// referencing missing sessions are accounted as revocations rather than
-// dropped — a grant that raced a lease expiry into the log must still
-// show up in the ledger counters.
+// a panic, and never more shards than it started with), and is
+// idempotent where replay needs it to be: duplicate holds are not
+// double-inserted, and records referencing missing sessions are
+// accounted as revocations rather than dropped — a grant that raced a
+// lease expiry into the log must still show up in the ledger counters.
 func (st *State) Apply(rec *Record) {
 	if rec == nil {
 		return
@@ -237,7 +225,6 @@ func (st *State) Apply(rec *Record) {
 		sh := st.shard(rec.Shard)
 		if rec.Mode == "w" {
 			sh.Counters.WriteGrants++
-			sh.bumpWord(rec.Word, TokenCounter(rec.Token))
 		} else {
 			sh.Counters.ReadGrants++
 		}

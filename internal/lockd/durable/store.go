@@ -14,9 +14,9 @@ type Options struct {
 	// SnapshotEvery is the number of appended records between snapshots
 	// (default 4096). Each snapshot rotates (truncates) the WAL.
 	SnapshotEvery int
-	// Shards / WordsPerShard pin the geometry; a snapshot from a
-	// different geometry is rejected with a *MismatchError.
-	Shards, WordsPerShard int
+	// Shards pins the geometry; a snapshot from a different geometry is
+	// rejected with a *MismatchError.
+	Shards int
 }
 
 func (o *Options) applyDefaults() {
@@ -28,9 +28,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
-	}
-	if o.WordsPerShard <= 0 {
-		o.WordsPerShard = 1
 	}
 }
 
@@ -84,15 +81,15 @@ func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: data dir: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, fp: GeometryFingerprint(opts.Shards, opts.WordsPerShard)}
+	s := &Store{dir: dir, opts: opts, fp: GeometryFingerprint(opts.Shards)}
 
-	st, lastLSN, err := loadSnapshot(s.snapPath(), s.fp)
+	st, lastLSN, err := loadSnapshot(s.snapPath(), s.fp, opts.Shards)
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &RecoveryInfo{SnapshotLoaded: st != nil}
 	if st == nil {
-		st = NewState(opts.Shards, opts.WordsPerShard)
+		st = NewState(opts.Shards)
 	}
 
 	lsn := lastLSN

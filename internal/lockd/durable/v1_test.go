@@ -13,14 +13,16 @@ import (
 
 // TestV1DataDirRejected opens copies of the data directories of older
 // formats: testdata/v1, a WAL and a snapshot of the version-1 (JSON
-// record) format with records of every kind, and testdata/v2, the binary
+// record) format with records of every kind; testdata/v2, the binary
 // format of version 2 with its ten record kinds (enqueue and dequeue
-// among them, and a queued entry in the snapshot). Each file, alone and
+// among them, and a queued entry in the snapshot); and testdata/v3, the
+// eight record kinds of version 3, whose grants carry a counter word and
+// a token, and a snapshot with 8×512 counter words. Each file, alone and
 // together, must be refused with a typed *MismatchError on the version —
 // not truncated as a torn log, not replayed — by durable.Open and by
 // lockd.New, and left byte-identical.
 func TestV1DataDirRejected(t *testing.T) {
-	for _, version := range []string{"v1", "v2"} {
+	for _, version := range []string{"v1", "v2", "v3"} {
 		t.Run(version, func(t *testing.T) { checkRejected(t, filepath.Join("testdata", version)) })
 	}
 }
@@ -40,7 +42,7 @@ func checkRejected(t *testing.T, fixture string) {
 			fn   func(dir string) error
 		}{
 			{"durable.Open", func(dir string) error {
-				s, _, err := durable.Open(dir, durable.Options{Shards: 8, WordsPerShard: 512})
+				s, _, err := durable.Open(dir, durable.Options{Shards: 8})
 				if err == nil {
 					s.Close()
 				}

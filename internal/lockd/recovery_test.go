@@ -25,7 +25,6 @@ func startDurable(t *testing.T, addr, dir string) *Server {
 		DataDir:       dir,
 		Fsync:         "never", // kill -9 safety does not depend on fsync; keep the test fast
 		Shards:        4,
-		KeysPerShard:  64,
 		DefaultTTL:    400 * time.Millisecond,
 		MinTTL:        50 * time.Millisecond,
 		SweepInterval: 10 * time.Millisecond,
@@ -164,6 +163,77 @@ func TestEpochFencingAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestTokensRestartEachEpoch: a shard's tokens count its write grants in
+// the current epoch, across keys, and the count starts again at 1 after
+// a restart, where the bumped epoch alone keeps every new token above
+// every token minted before the crash. A read grant carries the shard's
+// write count as it stands.
+func TestTokensRestartEachEpoch(t *testing.T) {
+	dir := t.TempDir()
+	srv := startDurable(t, "127.0.0.1:0", dir)
+	addr := srv.Addr().String()
+	ctx := context.Background()
+	keys := []string{"a"}
+	for i := 0; len(keys) < 2; i++ {
+		if k := fmt.Sprintf("b%d", i); srv.shardFor(k) == srv.shardFor(keys[0]) {
+			keys = append(keys, k)
+		}
+	}
+
+	c, err := Dial(ctx, addr, Options{TTL: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abandon()
+	acquire := func(c *Client, key, mode string) uint64 {
+		t.Helper()
+		h, err := c.Acquire(ctx, key, mode, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Release(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return h.Passage
+	}
+	var before []uint64
+	for i, key := range []string{keys[0], keys[1], keys[0]} {
+		tok := acquire(c, key, ModeWrite)
+		if want := durable.MakeToken(1, uint64(i+1)); tok != want {
+			t.Fatalf("write grant %d on %q: token %#x, want %#x", i+1, key, tok, want)
+		}
+		before = append(before, tok)
+	}
+	if tok, want := acquire(c, keys[1], ModeRead), durable.MakeToken(1, 3); tok != want {
+		t.Fatalf("read grant after three writes: token %#x, want %#x", tok, want)
+	}
+
+	srv.Crash()
+	srv2 := startDurable(t, addr, dir)
+	defer srv2.Close()
+	e := srv2.Epoch()
+	if e != 2 {
+		t.Fatalf("post-restart epoch %d, want 2", e)
+	}
+	c2, err := Dial(ctx, addr, Options{TTL: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	tok := acquire(c2, keys[1], ModeWrite)
+	if want := durable.MakeToken(e, 1); tok != want {
+		t.Fatalf("first post-restart write token %#x, want %#x", tok, want)
+	}
+	for _, old := range before {
+		if tok <= old {
+			t.Fatalf("post-restart token %#x does not dominate pre-crash token %#x", tok, old)
+		}
+	}
+	if tok, want := acquire(c2, keys[0], ModeWrite), durable.MakeToken(e, 2); tok != want {
+		t.Fatalf("second post-restart write token %#x, want %#x", tok, want)
+	}
+}
+
 // TestResumeContinuesSeqNumbering: the resumed session's MaxSeq keeps a
 // reconnecting client's seqs above everything it used before the crash,
 // so the restored at-most-once response cache can never answer a fresh
@@ -220,7 +290,7 @@ func TestResumeContinuesSeqNumbering(t *testing.T) {
 // because no restart could restore it. One session holds a key, a second
 // queues behind it and is granted on the release; the log must hold only
 // epoch, hello, grant, resp and release records, and a restart must
-// restore the same sessions, ledger counters and words.
+// restore the same sessions and ledger counters.
 func TestQueuedAcquireNotLogged(t *testing.T) {
 	dir := t.TempDir()
 	srv := startDurable(t, "127.0.0.1:0", dir)

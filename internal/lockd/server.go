@@ -4,10 +4,9 @@
 // expires, a fail-slow client is one whose heartbeats arrive late, and
 // recovery is reconnect-and-reacquire under a fresh session. Locks are
 // sharded namespaces of grant tables, kept only while a lock is held or
-// queued on; per-key write-passage counters live in a per-shard word
-// array so every write grant carries a fencing token, and every queued
-// waiter counts the grants that overtake it, so fairness is measured
-// live.
+// queued on; each shard counts its write passages so every grant carries
+// a fencing token, and every queued waiter counts the grants that
+// overtake it, so fairness is measured live.
 package lockd
 
 import (
@@ -32,10 +31,6 @@ type Config struct {
 	Addr string
 	// Shards is the number of lock-namespace partitions (default 8).
 	Shards int
-	// KeysPerShard sizes each shard's passage-counter array (default
-	// 512). Keys hash onto the array; sharing a word preserves per-key
-	// token uniqueness.
-	KeysPerShard int
 	// DefaultTTL is the session lease granted when hello does not request
 	// one; MinTTL/MaxTTL clamp requested TTLs (defaults 5s, 50ms, 60s).
 	DefaultTTL, MinTTL, MaxTTL time.Duration
@@ -47,7 +42,7 @@ type Config struct {
 	// MaxWait clamps the server-side acquire deadline (default 30s).
 	MaxWait time.Duration
 	// DataDir, when set, makes the server durable: service state (leases,
-	// holds, fencing counters, response caches) is logged to a WAL plus
+	// holds, ledger counters, response caches) is logged to a WAL plus
 	// periodic snapshots under this directory, and a restart replays them,
 	// bumps the server epoch, and fences every pre-crash hold. Empty means
 	// in-memory only (epoch pinned at 1).
@@ -68,9 +63,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 8
-	}
-	if c.KeysPerShard <= 0 {
-		c.KeysPerShard = 512
 	}
 	if c.DefaultTTL <= 0 {
 		c.DefaultTTL = 5 * time.Second
@@ -152,7 +144,6 @@ func New(cfg Config) (*Server, error) {
 			Fsync:         pol,
 			SnapshotEvery: cfg.SnapshotEvery,
 			Shards:        cfg.Shards,
-			WordsPerShard: cfg.KeysPerShard,
 		})
 		if err != nil {
 			return nil, err
@@ -173,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 	s.ln = ln
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		s.shards[i] = newShard(s, i, cfg.KeysPerShard)
+		s.shards[i] = newShard(s, i)
 	}
 	return s, nil
 }
@@ -222,9 +213,7 @@ func (s *Server) install() {
 	st := s.store.State()
 	s.sessions.restore(st)
 	for i, sh := range s.shards {
-		if i < len(st.Shards) {
-			sh.restore(st.Shards[i])
-		}
+		sh.restore(st.Shards[i]) // Open gives the state at least cfg.Shards shards
 	}
 	s.epoch.Store(epoch)
 	s.ready.Store(true)

@@ -2,7 +2,6 @@ package lockd
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -34,12 +33,7 @@ type grantResult struct {
 // lock is held or queued on (see reclaimLocked): nothing in it has to
 // outlive a passage.
 type lockState struct {
-	key string
-	// wordIdx is the key's passage counter in the shard's words (assigned
-	// by key hash; keys may share a word, which preserves per-key token
-	// uniqueness). It is recorded in WAL grant records so replay can
-	// restore the counter.
-	wordIdx int
+	key     string
 	readers map[*session]struct{} //rwguard:shard.mu
 	writer  *session              //rwguard:shard.mu
 	queue   []*waiter             //rwguard:shard.mu
@@ -76,7 +70,7 @@ type shardCounters struct {
 }
 
 // shard is one lock-namespace partition: a map of the live named grant
-// tables plus the passage counters keys hash onto, all serialized by one
+// tables plus the shard's write-passage counter, all serialized by one
 // mutex.
 type shard struct {
 	srv *Server
@@ -85,25 +79,21 @@ type shard struct {
 	mu    sync.Mutex
 	locks map[string]*lockState //rwguard:mu
 	stats shardCounters         //rwguard:mu
-	words []uint64              //rwguard:mu
+	// writes counts the write grants the shard made in this epoch (it
+	// starts at zero in every process); it is the counter part of the
+	// shard's fencing tokens, and the epoch part fences it across
+	// restarts, so it is never logged.
+	writes uint64 //rwguard:mu
 }
 
-func newShard(srv *Server, idx, nWords int) *shard {
-	return &shard{
-		srv:   srv,
-		idx:   idx,
-		locks: map[string]*lockState{},
-		words: make([]uint64, nWords),
-	}
+func newShard(srv *Server, idx int) *shard {
+	return &shard{srv: srv, idx: idx, locks: map[string]*lockState{}}
 }
 
-// restore installs recovered durable state: the per-word passage counters
-// (so post-restart counters continue above every replayed grant) and the
-// cumulative ledger counters.
+// restore installs the recovered cumulative ledger counters.
 func (sh *shard) restore(ss *durable.ShardState) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	copy(sh.words, ss.Words)
 	c := ss.Counters
 	sh.stats.readGrants = c.ReadGrants
 	sh.stats.writeGrants = c.WriteGrants
@@ -123,14 +113,7 @@ func (sh *shard) logAppend(rec *durable.Record) { sh.srv.logAppend(rec) }
 func (sh *shard) lockStateLocked(key string) *lockState {
 	ls := sh.locks[key]
 	if ls == nil {
-		h := fnv.New32a()
-		h.Write([]byte(key))
-		wordIdx := int(h.Sum32() % uint32(len(sh.words)))
-		ls = &lockState{
-			key:     key,
-			wordIdx: wordIdx,
-			readers: map[*session]struct{}{},
-		}
+		ls = &lockState{key: key, readers: map[*session]struct{}{}}
 		sh.locks[key] = ls
 	}
 	return ls
@@ -151,28 +134,28 @@ func grantableLocked(ls *lockState, mode string) bool {
 	return ls.writer == nil
 }
 
-// grantLocked installs sess as a holder and returns the passage token,
-// folded with the server epoch (tokens from before a restart are strictly
-// dominated). Write grants advance the key's fencing counter and are
-// WAL-logged before the caller can send the response, so a token a client
-// observed always corresponds to a logged grant (per the fsync policy).
+// grantLocked installs sess as a holder and returns the passage token:
+// the shard's write count folded with the server epoch. A write grant
+// advances the count first, so write tokens are unique and strictly
+// increasing per shard, hence per key, and tokens from before a restart
+// are strictly dominated by the bumped epoch; a read grant gets the
+// count as it stands. Grants are WAL-logged before the caller can send
+// the response, so a grant a client observed always corresponds to a
+// logged one (per the fsync policy).
 //
 //rwguard:holds mu
 func (sh *shard) grantLocked(ls *lockState, sess *session, mode string) uint64 {
-	var tok uint64
 	if mode == wire.ModeWrite {
 		ls.writer = sess
 		sh.stats.writeGrants++
-		sh.words[ls.wordIdx]++
-		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.words[ls.wordIdx])
+		sh.writes++
 	} else {
 		ls.readers[sess] = struct{}{}
 		sh.stats.readGrants++
-		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.words[ls.wordIdx])
 	}
 	sh.logAppend(&durable.Record{Type: durable.RecGrant, Session: sess.id,
-		Key: ls.key, Mode: mode, Shard: sh.idx, Word: ls.wordIdx, Token: tok})
-	return tok
+		Key: ls.key, Mode: mode, Shard: sh.idx})
+	return durable.MakeToken(sh.srv.epoch.Load(), sh.writes)
 }
 
 // acquire is the full acquire path: instant grant, tryacquire failure,
@@ -284,8 +267,8 @@ func (sh *shard) foldBypassLocked(w *waiter) {
 }
 
 // reclaimLocked drops ls from the shard once nobody holds or waits on it,
-// so an idle key costs no memory. Fencing is unaffected: a re-created
-// table hashes onto the same shard word, whose counter only rises.
+// so an idle key costs no memory. Fencing is unaffected: the counter a
+// re-created table's tokens come from is the shard's, which only rises.
 //
 //rwguard:holds mu
 func (sh *shard) reclaimLocked(ls *lockState) {

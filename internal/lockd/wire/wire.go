@@ -107,10 +107,12 @@ type Response struct {
 	// Epoch is the server epoch (hello and stats responses). It bumps on
 	// every restart; fencing tokens fold it into their high bits.
 	Epoch uint64 `json:"server_epoch,omitempty"`
-	// Passage is the fencing token of a granted acquire: for write grants
-	// it is unique and strictly increasing per key, so duplicated or
-	// replayed grants are detectable; for read grants it is the key's
-	// current write-passage count.
+	// Passage is the fencing token of a granted acquire: the server epoch
+	// in the high 16 bits over a count of the key's shard's write grants
+	// in that epoch. For write grants it is unique and strictly
+	// increasing per key, so duplicated or replayed grants are
+	// detectable; for read grants it is the shard's write count at the
+	// grant.
 	Passage uint64 `json:"passage,omitempty"`
 	// Stats answers an OpStats request.
 	Stats *Stats `json:"stats,omitempty"`
