@@ -54,7 +54,7 @@ func run(args []string, sig <-chan os.Signal, onReady func(addr string), out, er
 	fs := flag.NewFlagSet("rwlockd", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	addr := fs.String("addr", "127.0.0.1:7911", "TCP listen address")
-	shards := fs.Int("shards", 8, "lock namespace shard count")
+	shards := fs.Int("shards", 8, "lock namespace shard count (a -data-dir restarts under any value)")
 	ttl := fs.Duration("ttl", 5*time.Second, "default session lease TTL")
 	minTTL := fs.Duration("min-ttl", 50*time.Millisecond, "smallest grantable lease TTL")
 	maxTTL := fs.Duration("max-ttl", 60*time.Second, "largest grantable lease TTL")

@@ -22,7 +22,7 @@ const durablePath = "repro/internal/lockd/durable"
 //     apply function shared by the live shadow and crash replay; a
 //     record kind it silently drops diverges the two without failing a
 //     test.
-//  2. Durable shadow state (State, SessionState, ShardState, Counters)
+//  2. Durable shadow state (State, SessionState, Counters)
 //     mutates only on the apply path: inside State.Apply and the
 //     helpers reachable only from it, in constructors (New*, Clone),
 //     or on freshly built locals that have not been published. Any
@@ -45,7 +45,7 @@ var DurDiscipline = &analysis.Analyzer{
 
 // durableStateTypes are the shadow-state type names rule 2 protects.
 var durableStateTypes = map[string]bool{
-	"State": true, "SessionState": true, "ShardState": true, "Counters": true,
+	"State": true, "SessionState": true, "Counters": true,
 }
 
 // inDurableScope reports whether a package path is the durability layer

@@ -25,9 +25,9 @@ func syntheticLog(n int) []*Record {
 			mode, tok = "w", MakeToken(1, uint64(i/2+1))
 		}
 		recs = append(recs,
-			&Record{Type: RecGrant, Session: sess, Key: key, Mode: mode, Shard: i % 8},
+			&Record{Type: RecGrant, Session: sess, Key: key, Mode: mode},
 			&Record{Type: RecResp, Session: sess, Seq: seq, Resp: []byte(fmt.Sprintf(`{"seq":%d,"ok":true,"passage":%d}`, seq, tok))},
-			&Record{Type: RecRelease, Session: sess, Key: key, Mode: mode, Shard: i % 8},
+			&Record{Type: RecRelease, Session: sess, Key: key, Mode: mode},
 			&Record{Type: RecResp, Session: sess, Seq: seq + 1, Resp: []byte(fmt.Sprintf(`{"seq":%d,"ok":true}`, seq+1))})
 	}
 	recs = recs[:n]
@@ -74,7 +74,7 @@ func BenchmarkReplay(b *testing.B) {
 			b.Fatalf("decoded %d records: %v", n, err)
 		}
 		t1 := time.Now()
-		st := NewState(8)
+		st := NewState()
 		for _, r := range recs {
 			st.Apply(r)
 		}

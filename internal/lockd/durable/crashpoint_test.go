@@ -18,9 +18,9 @@ func everyTypeRecords() []*Record {
 		{LSN: 1, Type: RecEpoch, Epoch: 1},
 		{LSN: 2, Type: RecHello, Session: "3f9a0c21d4e5b687", TTLMS: 5000, Expiry: 1760000000123456789},
 		{LSN: 3, Type: RecRenew, Session: "3f9a0c21d4e5b687", Expiry: 1760000001123456789},
-		{LSN: 4, Type: RecGrant, Session: "3f9a0c21d4e5b687", Key: "k", Mode: "w", Shard: 3},
+		{LSN: 4, Type: RecGrant, Session: "3f9a0c21d4e5b687", Key: "k", Mode: "w"},
 		{LSN: 5, Type: RecResp, Session: "3f9a0c21d4e5b687", Seq: 7, Resp: []byte(`{"seq":7,"ok":true,"passage":281474976710698}`)},
-		{LSN: 6, Type: RecRelease, Session: "3f9a0c21d4e5b687", Key: "k", Mode: "w", Shard: 3},
+		{LSN: 6, Type: RecRelease, Session: "3f9a0c21d4e5b687", Key: "k", Mode: "w"},
 		{LSN: 7, Type: RecBye, Session: "3f9a0c21d4e5b687"},
 		{LSN: 8, Type: RecExpire, Session: "a"},
 	}
@@ -28,10 +28,9 @@ func everyTypeRecords() []*Record {
 
 // crashScript returns a seeded script of n records (n >= 8) that covers
 // all eight record kinds: the first eight are one of each kind in a seeded
-// order, the rest are drawn at random over a few sessions, keys and
-// shards. Records that name missing sessions, or shards outside the
-// state, are kept on purpose: Apply must account for them the same way
-// on every path.
+// order, the rest are drawn at random over a few sessions and keys.
+// Records that name missing sessions are kept on purpose: Apply must
+// account for them the same way on every path.
 func crashScript(seed int64, n int) []*Record {
 	rnd := rand.New(rand.NewSource(seed))
 	sessions := []string{"a", "b7f3", "c0ffee00d00d1234"}
@@ -49,7 +48,6 @@ func crashScript(seed int64, n int) []*Record {
 		case RecGrant, RecRelease:
 			r.Key = keys[rnd.Intn(len(keys))]
 			r.Mode = []string{"r", "w"}[rnd.Intn(2)]
-			r.Shard = rnd.Intn(6) - 1
 		case RecResp:
 			seq += 1 + uint64(rnd.Intn(3))
 			r.Seq = seq
@@ -93,7 +91,7 @@ func TestCrashPointRecovery(t *testing.T) {
 }
 
 func checkCrashPoints(t *testing.T, seed int64, script []*Record) {
-	opts := Options{Shards: 4, Fsync: FsyncNever}
+	opts := Options{Fsync: FsyncNever}
 	src := t.TempDir()
 	s, _, err := Open(src, opts)
 	if err != nil {
@@ -112,7 +110,7 @@ func checkCrashPoints(t *testing.T, seed int64, script []*Record) {
 	// of the end of frame k, read from the frame headers alone. States are
 	// compared as clones, the form Store.State returns, because Clone
 	// turns a nil response cache into an empty one.
-	want := []*State{NewState(opts.Shards)}
+	want := []*State{NewState()}
 	for _, r := range script {
 		st := want[len(want)-1].Clone()
 		st.Apply(r)
@@ -215,10 +213,7 @@ func checkCrashPoints(t *testing.T, seed int64, script []*Record) {
 // dump renders a state with its sessions spelled out, for failure
 // messages.
 func dump(st *State) string {
-	out := fmt.Sprintf("epoch %d shards", st.Epoch)
-	for _, sh := range st.Shards {
-		out += fmt.Sprintf(" %+v", sh.Counters)
-	}
+	out := fmt.Sprintf("epoch %d ledger %+v", st.Epoch, st.Counters)
 	for _, id := range st.SessionIDs() {
 		out += fmt.Sprintf("\n  %s %+v", id, *st.Sessions[id])
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,9 +33,9 @@ func TestTokenRoundTrip(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	recs := []*Record{
 		{LSN: 1, Type: RecHello, Session: "s1", TTLMS: 500, Expiry: 12345},
-		{LSN: 2, Type: RecGrant, Session: "s1", Key: "k", Mode: "w", Shard: 2},
+		{LSN: 2, Type: RecGrant, Session: "s1", Key: "k", Mode: "w"},
 		{LSN: 3, Type: RecResp, Session: "s1", Seq: 4, Resp: []byte(`{"seq":4,"ok":true}`)},
-		{LSN: 4, Type: RecRelease, Session: "s1", Key: "k", Mode: "r", Shard: -300, TTLMS: -5, Expiry: -1},
+		{LSN: 4, Type: RecRelease, Session: "s1", Key: "k", Mode: "r", TTLMS: -300, Expiry: -1},
 		{LSN: 5, Type: RecEpoch, Epoch: 2},
 	}
 	var buf []byte
@@ -126,40 +125,40 @@ func TestReadLogBitFlip(t *testing.T) {
 }
 
 func TestApplyLifecycleAndLedger(t *testing.T) {
-	st := NewState(2)
+	st := NewState()
 	st.Apply(&Record{Type: RecHello, Session: "a", TTLMS: 100, Expiry: 50})
 	st.Apply(&Record{Type: RecHello, Session: "b", TTLMS: 100, Expiry: 60})
-	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k", Mode: "w", Shard: 1})
+	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k", Mode: "w"})
 	if len(st.Sessions) != 2 || st.Sessions["b"].Expiry != 60 {
 		t.Fatalf("sessions after hello: %+v", st.Sessions)
 	}
-	if got := st.Shards[1].Counters.WriteGrants; got != 1 {
-		t.Fatalf("shard 1 write grants = %d, want 1", got)
+	if got := st.Counters.WriteGrants; got != 1 {
+		t.Fatalf("write grants = %d, want 1", got)
 	}
 	if holds := st.HoldCount(); holds != 1 {
 		t.Fatalf("holds=%d", holds)
 	}
 
 	// Release drains cleanly.
-	st.Apply(&Record{Type: RecRelease, Session: "a", Key: "k", Mode: "w", Shard: 1})
+	st.Apply(&Record{Type: RecRelease, Session: "a", Key: "k", Mode: "w"})
 	if h := st.HoldCount(); h != 0 {
 		t.Fatalf("after release: holds=%d", h)
 	}
-	if st.Shards[1].Counters.Releases != 1 {
-		t.Fatalf("releases = %d", st.Shards[1].Counters.Releases)
+	if st.Counters.Releases != 1 {
+		t.Fatalf("releases = %d", st.Counters.Releases)
 	}
 
 	// A ghost grant (session already expired out of the log) still lands
 	// in the ledger as an immediately revoked passage.
 	st.Apply(&Record{Type: RecExpire, Session: "a"})
-	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k2", Mode: "w", Shard: 0})
-	c := st.Shards[0].Counters
-	if c.WriteGrants != 1 || c.Revoked != 1 || c.RevokedWrite != 1 {
+	st.Apply(&Record{Type: RecGrant, Session: "a", Key: "k2", Mode: "w"})
+	c := st.Counters
+	if c.WriteGrants != 2 || c.Revoked != 1 || c.RevokedWrite != 1 {
 		t.Fatalf("ghost grant counters: %+v", c)
 	}
 
 	// Epoch bump fences the remaining holds.
-	st.Apply(&Record{Type: RecGrant, Session: "b", Key: "k3", Mode: "r", Shard: 0})
+	st.Apply(&Record{Type: RecGrant, Session: "b", Key: "k3", Mode: "r"})
 	st.Apply(&Record{Type: RecEpoch, Epoch: 2})
 	if st.Epoch != 2 {
 		t.Fatalf("epoch = %d", st.Epoch)
@@ -167,8 +166,8 @@ func TestApplyLifecycleAndLedger(t *testing.T) {
 	if h := st.HoldCount(); h != 0 {
 		t.Fatalf("after epoch bump: holds=%d", h)
 	}
-	if st.Shards[0].Counters.Fenced != 1 {
-		t.Fatalf("fenced = %d", st.Shards[0].Counters.Fenced)
+	if c := st.Counters; c.ReadGrants != 1 || c.Fenced != 1 || c.FencedWrite != 0 || c.Revoked != 2 {
+		t.Fatalf("counters after the epoch bump: %+v", c)
 	}
 	// Sessions themselves survive the bump (leases persist; holds do not).
 	if _, ok := st.Sessions["b"]; !ok {
@@ -176,46 +175,8 @@ func TestApplyLifecycleAndLedger(t *testing.T) {
 	}
 }
 
-// TestApplyNeverGrowsShards: a record naming a shard outside the state
-// (a CRC-valid frame with a huge Shard, or a WAL written under more
-// shards) is charged to shard 0 instead of growing the state up to its
-// index, and so is a negative index. A state loaded from a snapshot
-// whose state is null still has its shards.
-func TestApplyNeverGrowsShards(t *testing.T) {
-	st := NewState(2)
-	st.Apply(&Record{Type: RecHello, Session: "s"})
-	st.Apply(&Record{Type: RecGrant, Session: "s", Key: "k", Mode: "w", Shard: 1 << 20})
-	st.Apply(&Record{Type: RecRelease, Session: "s", Key: "k", Mode: "w", Shard: -1})
-	st.Apply(&Record{Type: RecGrant, Session: "s", Key: "k", Mode: "r", Shard: 2})
-	if len(st.Shards) != 2 {
-		t.Fatalf("%d shards after records naming shards 1<<20, -1 and 2, want 2", len(st.Shards))
-	}
-	if c := st.Shards[0].Counters; c.WriteGrants != 1 || c.ReadGrants != 1 || c.Releases != 1 {
-		t.Fatalf("shard 0 counters %+v, want the write grant, the read grant and the release", c)
-	}
-
-	dir := t.TempDir()
-	null := fmt.Sprintf(`{"version":%d,"fingerprint":%q,"last_lsn":0,"state":null}`, SnapshotVersion, GeometryFingerprint(3))
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(null), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, info, err := Open(dir, Options{Shards: 3, Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if !info.SnapshotLoaded {
-		t.Fatal("the null snapshot was not loaded")
-	}
-	mustAppend(t, s, &Record{Type: RecGrant, Session: "gone", Key: "k", Mode: "w", Shard: 7})
-	got := s.State()
-	if len(got.Shards) != 3 || got.Shards[0].Counters.WriteGrants != 1 {
-		t.Fatalf("state from a null snapshot: %s", dump(got))
-	}
-}
-
 func TestApplyRespCacheCapAndMaxSeq(t *testing.T) {
-	st := NewState(1)
+	st := NewState()
 	st.Apply(&Record{Type: RecHello, Session: "s"})
 	for i := 1; i <= RespCacheCap+10; i++ {
 		st.Apply(&Record{Type: RecResp, Session: "s", Seq: uint64(i), Resp: []byte(`{"ok":true}`)})
@@ -234,7 +195,7 @@ func TestApplyRespCacheCapAndMaxSeq(t *testing.T) {
 
 func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 2, Fsync: FsyncNever}
+	opts := Options{Fsync: FsyncNever}
 	s, info, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +207,7 @@ func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAppend(t, s, &Record{Type: RecHello, Session: "s", TTLMS: 1000, Expiry: time.Now().Add(time.Hour).UnixNano()})
-	mustAppend(t, s, &Record{Type: RecGrant, Session: "s", Key: "k", Mode: "w", Shard: 1})
+	mustAppend(t, s, &Record{Type: RecGrant, Session: "s", Key: "k", Mode: "w"})
 	s.Crash() // kill -9: no snapshot, no final sync
 
 	s2, info2, err := Open(dir, opts)
@@ -271,17 +232,15 @@ func TestStoreReopenReplaysAndBumpsEpoch(t *testing.T) {
 	if h := st.HoldCount(); h != 0 {
 		t.Fatalf("post-bump holds=%d", h)
 	}
-	if got := st.Shards[1].Counters.WriteGrants; got != 1 {
-		t.Fatalf("restored shard 1 write grants %d, want 1", got)
-	}
-	if st.Shards[0].Counters.Fenced+st.Shards[1].Counters.Fenced != 1 {
-		t.Fatalf("fenced counters: %+v %+v", st.Shards[0].Counters, st.Shards[1].Counters)
+	want := Counters{WriteGrants: 1, Revoked: 1, RevokedWrite: 1, Fenced: 1, FencedWrite: 1}
+	if st.Counters != want {
+		t.Fatalf("restored ledger %+v, want %+v", st.Counters, want)
 	}
 }
 
 func TestStoreSnapshotRotationAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 1, Fsync: FsyncNever, SnapshotEvery: 8}
+	opts := Options{Fsync: FsyncNever, SnapshotEvery: 8}
 	s, _, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -325,32 +284,12 @@ func TestStoreSnapshotRotationAndTornTail(t *testing.T) {
 	}
 }
 
-func TestSnapshotGeometryMismatch(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := Open(dir, Options{Shards: 2, Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, s, &Record{Type: RecHello, Session: "s"})
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = Open(dir, Options{Shards: 4, Fsync: FsyncNever})
-	var me *MismatchError
-	if !errors.As(err, &me) {
-		t.Fatalf("resharded open: want *MismatchError, got %T %v", err, err)
-	}
-}
-
 func TestOpenRejectsForeignWAL(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("definitely not a WAL file......."), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Open(dir, Options{Shards: 1})
+	_, _, err := Open(dir, Options{})
 	var ce *CorruptError
 	if !errors.As(err, &ce) || ce.Reason != "magic" {
 		t.Fatalf("want *CorruptError(magic), got %T %v", err, err)

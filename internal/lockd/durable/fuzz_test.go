@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,11 +15,10 @@ import (
 // frame it decodes: any input must yield a record, a *ShortError, or a
 // *CorruptError — never a panic and never an untyped failure — and a
 // record must re-encode to exactly its frame's bytes. Every record
-// decoded is then applied to a fresh State, which must neither panic nor
-// change its shard count, whatever shard the record names. Torn writes,
-// truncated tails, and bit flips are all just byte strings here.
+// decoded is then applied to a fresh State, which must not panic. Torn
+// writes, truncated tails, and bit flips are all just byte strings here.
 func FuzzDecodeFrame(f *testing.F) {
-	good, _ := AppendFrame(nil, &Record{LSN: 1, Type: RecGrant, Session: "s", Key: "k", Mode: "w", Shard: 7})
+	good, _ := AppendFrame(nil, &Record{LSN: 1, Type: RecGrant, Session: "s", Key: "k", Mode: "w"})
 	f.Add(good)
 	f.Add(good[:len(good)-1])                         // torn tail
 	f.Add([]byte{})                                   // empty
@@ -45,20 +43,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	for typ := RecEpoch + 1; typ <= RecEpoch+2; typ++ {
 		f.Add(frameOf(append([]byte{byte(typ)}, body[1:]...)))
 	}
-	// A CRC-valid grant naming a shard far outside any state: 1<<40, or
-	// the largest int where int has 32 bits.
-	huge, _ := AppendFrame(nil, &Record{LSN: 1, Type: RecGrant, Session: "s", Key: "k", Mode: "w", Shard: min(1<<40, math.MaxInt)})
-	f.Add(huge)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs, _, err := readAll(b)
-		const shards = 2
-		st := NewState(shards)
+		st := NewState()
 		st.Apply(&Record{Type: RecHello, Session: "s"})
 		for _, r := range recs {
 			st.Apply(r)
-		}
-		if len(st.Shards) != shards {
-			t.Fatalf("applying %d records changed the shard count from %d to %d", len(recs), shards, len(st.Shards))
 		}
 		if len(recs) == 0 {
 			var se *ShortError
@@ -138,7 +128,7 @@ func FuzzReadLog(f *testing.F) {
 				len(recs2), valid2, err2, len(recs), valid)
 		}
 		// Applying any decoded sequence must never panic (apply is total).
-		st := NewState(1)
+		st := NewState()
 		for _, r := range recs {
 			st.Apply(r)
 		}
@@ -149,8 +139,8 @@ func FuzzReadLog(f *testing.F) {
 // every outcome is a typed fatal that leaves the file as it was (wrong
 // magic, or a WAL of another version), or a truncate-to-valid-prefix
 // recovery whose second replay is clean and torn-free. The WALs of the
-// version-2 and version-3 fixtures are seeds: each must be refused as
-// another version.
+// version-2, version-3 and version-4 fixtures are seeds: each must be
+// refused as another version.
 func FuzzWALFileReplay(f *testing.F) {
 	var log []byte
 	log = append(log, walMagic...)
@@ -160,7 +150,7 @@ func FuzzWALFileReplay(f *testing.F) {
 	f.Add([]byte("not a wal"))
 	v1 := append([]byte(walMagicName+"\x01\n"), log[len(walMagic):]...)
 	f.Add(v1)
-	for _, version := range []string{"v2", "v3"} {
+	for _, version := range []string{"v2", "v3", "v4"} {
 		old, err := os.ReadFile(filepath.Join("testdata", version, "wal.log"))
 		if err != nil {
 			f.Fatal(err)

@@ -9,11 +9,14 @@
 //
 // The durable state is the service's bookkeeping, not the lock algorithms:
 // session leases (with absolute expiry deadlines, so the lease sweeper
-// re-arms after a restart), held lock entries, the per-shard ledger
-// counters, and the per-session at-most-once response caches. Fencing
-// counters and queued waiters are not logged: the epoch bump alone keeps
-// post-restart tokens above every earlier one, and a queued waiter's
-// connection never survives a restart, so no restart needs either.
+// re-arms after a restart), held lock entries, one set of ledger
+// counters for the whole service, and the per-session at-most-once
+// response caches. Fencing counters, queued waiters and the shard a key
+// hashes to are not logged: the epoch bump alone keeps post-restart
+// tokens above every earlier one and fences every replayed hold, and a
+// queued waiter's connection never survives a restart, so no restart
+// needs any of them. A data directory therefore restarts under any
+// shard count.
 // Everything here is real concurrency (files, mutexes) by design and is
 // pinned outside the rwlint memdiscipline scope, like the rest of
 // internal/lockd.
@@ -46,7 +49,7 @@ const (
 	RecBye
 	// RecExpire removes a session whose lease lapsed, revoking its holds.
 	RecExpire
-	// RecGrant installs a hold and counts the grant on its shard.
+	// RecGrant installs a hold and counts the grant in the ledger.
 	RecGrant
 	// RecRelease removes a hold.
 	RecRelease
@@ -76,9 +79,8 @@ type Record struct {
 	// absolute on purpose, so a restarted sweeper re-arms from it.
 	Expiry int64
 
-	Key   string
-	Mode  string
-	Shard int
+	Key  string
+	Mode string
 
 	Seq uint64
 	// Resp is the cached response, stored as opaque bytes.
@@ -125,8 +127,8 @@ func (e *ShortError) Error() string {
 // beyond it is treated as corruption (a bit flip in the length would
 // otherwise send the reader chasing gigabytes).
 //
-// Body layout: the type byte, then the numbers LSN, TTLMS, Expiry,
-// Shard, Seq and Epoch (uvarints, signed fields as zigzag varints), then
+// Body layout: the type byte, then the numbers LSN, TTLMS, Expiry, Seq
+// and Epoch (uvarints, signed fields as zigzag varints), then
 // Session, Key, Mode and Resp, each a uvarint length and its bytes.
 // Every field is present in every record, so each record has exactly one
 // encoding: the decoder rejects non-minimal varints and trailing bytes,
@@ -150,7 +152,6 @@ func AppendFrame(buf []byte, rec *Record) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, rec.LSN)
 	buf = binary.AppendVarint(buf, rec.TTLMS)
 	buf = binary.AppendVarint(buf, rec.Expiry)
-	buf = binary.AppendVarint(buf, int64(rec.Shard))
 	buf = binary.AppendUvarint(buf, rec.Seq)
 	buf = binary.AppendUvarint(buf, rec.Epoch)
 	buf = appendBytes(buf, rec.Session)
@@ -242,7 +243,6 @@ func decodeBody(body []byte, rec *Record) error {
 		LSN:    r.uvarint(),
 		TTLMS:  r.varint(),
 		Expiry: r.varint(),
-		Shard:  int(r.varint()),
 		Seq:    r.uvarint(),
 		Epoch:  r.uvarint(),
 	}

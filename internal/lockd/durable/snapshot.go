@@ -10,32 +10,27 @@ import (
 
 // SnapshotVersion is the snapshot file format version; a file written by
 // a different version is rejected with a *MismatchError.
-const SnapshotVersion = 4
+const SnapshotVersion = 5
 
-// MismatchError reports a snapshot or WAL written for a different
-// configuration than the server opening it: a format-version bump, or a
-// changed shard geometry (resharding a data directory would scramble the
-// key->shard mapping, so it must be an explicit migration, never a
-// silent restart).
+// MismatchError reports a snapshot or WAL written in another format
+// version than the server opening it reads. Nothing stored depends on the
+// server's configuration (the shard count included), so the version is
+// the only field a data directory can mismatch on.
 type MismatchError struct {
 	Path  string
-	Field string // "version" or "fingerprint"
+	Field string // always "version"
 	Want  string
 	Got   string
 }
 
 func (e *MismatchError) Error() string {
-	return fmt.Sprintf("durable: %s was written for a different configuration: %s is %s, this server needs %s (wipe the data directory or restore the old configuration)",
+	return fmt.Sprintf("durable: %s was written in another format: %s is %s, this server needs %s (wipe the data directory or run the server version that wrote it)",
 		e.Path, e.Field, e.Got, e.Want)
 }
 
 // snapshotFile is the on-disk snapshot schema.
 type snapshotFile struct {
 	Version int `json:"version"`
-	// Fingerprint pins the shard geometry (checkpoint.Fingerprint over
-	// the shard count) so a snapshot can never be replayed into a server
-	// with a different key->shard mapping.
-	Fingerprint string `json:"fingerprint"`
 	// LastLSN is the log sequence number of the last record folded into
 	// State; replay skips WAL records at or below it, which is what makes
 	// the snapshot-then-truncate rotation crash-safe in both orders.
@@ -43,21 +38,11 @@ type snapshotFile struct {
 	State   *State `json:"state"`
 }
 
-// GeometryFingerprint condenses the parts of the server configuration
-// that determine the durable state's shape. It reuses the checkpoint
-// fingerprint machinery (length-prefixed SHA-256) so the hygiene is
-// shared: everything that shapes the state, nothing execution-dependent.
-func GeometryFingerprint(shards int) string {
-	return checkpoint.Fingerprint("lockd-durable", fmt.Sprint(shards))
-}
-
 // writeSnapshot persists st atomically via the checkpoint temp-file+
 // rename primitive: a crash mid-snapshot leaves the previous snapshot
 // intact, never a torn file.
-func writeSnapshot(path, fingerprint string, lastLSN uint64, st *State) error {
-	buf, err := json.Marshal(&snapshotFile{
-		Version: SnapshotVersion, Fingerprint: fingerprint, LastLSN: lastLSN, State: st,
-	})
+func writeSnapshot(path string, lastLSN uint64, st *State) error {
+	buf, err := json.Marshal(&snapshotFile{Version: SnapshotVersion, LastLSN: lastLSN, State: st})
 	if err != nil {
 		return fmt.Errorf("durable: marshal snapshot: %w", err)
 	}
@@ -69,11 +54,10 @@ func writeSnapshot(path, fingerprint string, lastLSN uint64, st *State) error {
 }
 
 // loadSnapshot reads the snapshot at path. A missing file yields a nil
-// state (fresh directory); an unparsable file is a typed *CorruptError;
-// a version or geometry mismatch is a typed *MismatchError. A loaded
-// state has at least the given number of shards (at least one, as Open
-// passes it), even if the file's state is null.
-func loadSnapshot(path, fingerprint string, shards int) (*State, uint64, error) {
+// state (fresh directory); an unparsable file, or one whose state holds a
+// null session, is a typed *CorruptError; a version mismatch is a typed
+// *MismatchError.
+func loadSnapshot(path string) (*State, uint64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -89,18 +73,17 @@ func loadSnapshot(path, fingerprint string, shards int) (*State, uint64, error) 
 		return nil, 0, &MismatchError{Path: path, Field: "version",
 			Want: fmt.Sprint(SnapshotVersion), Got: fmt.Sprint(f.Version)}
 	}
-	if f.Fingerprint != fingerprint {
-		return nil, 0, &MismatchError{Path: path, Field: "fingerprint",
-			Want: fingerprint, Got: f.Fingerprint}
-	}
 	if f.State == nil {
-		f.State = &State{}
+		f.State = NewState()
 	}
 	if f.State.Sessions == nil {
 		f.State.Sessions = map[string]*SessionState{}
 	}
-	for len(f.State.Shards) < shards {
-		f.State.Shards = append(f.State.Shards, &ShardState{})
+	for id, sess := range f.State.Sessions {
+		if sess == nil {
+			return nil, 0, &CorruptError{Reason: "payload",
+				Err: fmt.Errorf("snapshot %s: session %q is null", path, id)}
+		}
 	}
 	return f.State, f.LastLSN, nil
 }

@@ -62,10 +62,11 @@ type SessionState struct {
 	MaxSeq uint64 `json:"max_seq,omitempty"`
 }
 
-// Counters are the ledger-relevant shard counters. They are durable
-// because rwload's zero-lost/zero-dup reconciliation compares them to
-// client observations across server crashes; volatile counters (sheds,
-// timeouts) stay in the server and reset on restart.
+// Counters are the ledger-relevant counters, totalled over the whole
+// service: no stored value depends on the shard a key hashes to. They
+// are durable because rwload's zero-lost/zero-dup reconciliation
+// compares them to client observations across server crashes; volatile
+// counters (sheds, timeouts) stay in the server and reset on restart.
 type Counters struct {
 	ReadGrants   uint64 `json:"read_grants"`
 	WriteGrants  uint64 `json:"write_grants"`
@@ -78,11 +79,6 @@ type Counters struct {
 	FencedWrite uint64 `json:"fenced_write"`
 }
 
-// ShardState is one shard's durable state: its ledger counters.
-type ShardState struct {
-	Counters Counters `json:"counters"`
-}
-
 // State is the full durable service state. The Store maintains it as a
 // shadow (applying every appended record), snapshots marshal it, and
 // replay rebuilds it; sharing one apply function between the shadow and
@@ -90,24 +86,18 @@ type ShardState struct {
 type State struct {
 	Epoch    uint64                   `json:"epoch"`
 	Sessions map[string]*SessionState `json:"sessions"`
-	Shards   []*ShardState            `json:"shards"`
+	Counters Counters                 `json:"counters"`
 }
 
-// NewState returns an empty state with the given number of shards, and
-// at least one: Apply charges records that name no shard of the state to
-// shard 0.
-func NewState(shards int) *State {
-	st := &State{Sessions: map[string]*SessionState{}, Shards: make([]*ShardState, max(shards, 1))}
-	for i := range st.Shards {
-		st.Shards[i] = &ShardState{}
-	}
-	return st
+// NewState returns an empty state.
+func NewState() *State {
+	return &State{Sessions: map[string]*SessionState{}}
 }
 
 // Clone deep-copies the state (the server installs from a clone so the
 // shadow can keep mutating).
 func (st *State) Clone() *State {
-	out := &State{Epoch: st.Epoch, Sessions: map[string]*SessionState{}}
+	out := &State{Epoch: st.Epoch, Sessions: map[string]*SessionState{}, Counters: st.Counters}
 	for id, s := range st.Sessions {
 		cp := *s
 		cp.Holds = append([]HoldState(nil), s.Holds...)
@@ -116,10 +106,6 @@ func (st *State) Clone() *State {
 			cp.Resps[i] = CachedResp{Seq: r.Seq, Resp: append(json.RawMessage(nil), r.Resp...)}
 		}
 		out.Sessions[id] = &cp
-	}
-	out.Shards = make([]*ShardState, len(st.Shards))
-	for i, sh := range st.Shards {
-		out.Shards[i] = &ShardState{Counters: sh.Counters}
 	}
 	return out
 }
@@ -142,18 +128,6 @@ func (st *State) SessionIDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// shard returns the shard state for idx. It never grows the state: an
-// index outside it (a WAL written under more shards, or a CRC-valid
-// record naming a huge shard) is charged to shard 0, as expire and epoch
-// records are; every consumer sums the counters across shards, so the
-// totals stay exact and replay cannot be made to allocate.
-func (st *State) shard(idx int) *ShardState {
-	if idx < 0 || idx >= len(st.Shards) {
-		idx = 0
-	}
-	return st.Shards[idx]
 }
 
 func findHold(list []HoldState, key, mode string) (int, bool) {
@@ -187,11 +161,11 @@ func (c *Counters) countRevoked(mode string, fenced bool) {
 
 // Apply folds one record into the state. It is shared by replay and the
 // Store's shadow, is total (any record sequence yields some state, never
-// a panic, and never more shards than it started with), and is
-// idempotent where replay needs it to be: duplicate holds are not
-// double-inserted, and records referencing missing sessions are
-// accounted as revocations rather than dropped — a grant that raced a
-// lease expiry into the log must still show up in the ledger counters.
+// a panic), and is idempotent where replay needs it to be: duplicate
+// holds are not double-inserted, and records referencing missing
+// sessions are accounted as revocations rather than dropped — a grant
+// that raced a lease expiry into the log must still show up in the
+// ledger counters.
 func (st *State) Apply(rec *Record) {
 	if rec == nil {
 		return
@@ -208,32 +182,28 @@ func (st *State) Apply(rec *Record) {
 		// record); leftovers mean the bye raced teardown — count them as
 		// releases, the clean-path accounting.
 		if s := st.Sessions[rec.Session]; s != nil {
-			st.shard(rec.Shard).Counters.Releases += uint64(len(s.Holds))
+			st.Counters.Releases += uint64(len(s.Holds))
 		}
 		delete(st.Sessions, rec.Session)
 	case RecExpire:
-		// Expire records carry no per-hold shard index; every consumer
-		// sums the counters across shards, so charging the revocations
-		// to the record's (zero) shard keeps the totals exact.
 		if s := st.Sessions[rec.Session]; s != nil {
 			for _, h := range s.Holds {
-				st.shard(rec.Shard).Counters.countRevoked(h.Mode, false)
+				st.Counters.countRevoked(h.Mode, false)
 			}
 		}
 		delete(st.Sessions, rec.Session)
 	case RecGrant:
-		sh := st.shard(rec.Shard)
 		if rec.Mode == "w" {
-			sh.Counters.WriteGrants++
+			st.Counters.WriteGrants++
 		} else {
-			sh.Counters.ReadGrants++
+			st.Counters.ReadGrants++
 		}
 		s := st.Sessions[rec.Session]
 		if s == nil {
 			// Ghost grant: the session's expiry record won the append
 			// race. The grant still happened — ledger-wise it is an
 			// immediately revoked passage.
-			sh.Counters.countRevoked(rec.Mode, false)
+			st.Counters.countRevoked(rec.Mode, false)
 			return
 		}
 		if _, dup := findHold(s.Holds, rec.Key, rec.Mode); !dup {
@@ -243,7 +213,7 @@ func (st *State) Apply(rec *Record) {
 		if s := st.Sessions[rec.Session]; s != nil {
 			var ok bool
 			if s.Holds, ok = removeHold(s.Holds, rec.Key, rec.Mode); ok {
-				st.shard(rec.Shard).Counters.Releases++
+				st.Counters.Releases++
 			}
 		}
 	case RecResp:
@@ -267,7 +237,7 @@ func (st *State) Apply(rec *Record) {
 		for _, id := range st.SessionIDs() {
 			s := st.Sessions[id]
 			for _, h := range s.Holds {
-				st.shard(0).Counters.countRevoked(h.Mode, true)
+				st.Counters.countRevoked(h.Mode, true)
 			}
 			s.Holds = nil
 		}

@@ -14,9 +14,6 @@ type Options struct {
 	// SnapshotEvery is the number of appended records between snapshots
 	// (default 4096). Each snapshot rotates (truncates) the WAL.
 	SnapshotEvery int
-	// Shards pins the geometry; a snapshot from a different geometry is
-	// rejected with a *MismatchError.
-	Shards int
 }
 
 func (o *Options) applyDefaults() {
@@ -25,9 +22,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 4096
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
 	}
 }
 
@@ -56,7 +50,6 @@ type RecoveryInfo struct {
 type Store struct {
 	dir  string
 	opts Options
-	fp   string
 
 	mu        sync.Mutex
 	wal       *wal   //rwguard:mu
@@ -72,24 +65,24 @@ func (s *Store) walPath() string  { return filepath.Join(s.dir, "wal.log") }
 // Open opens (creating if needed) the data directory, loads the snapshot,
 // and replays the WAL on top, truncating a torn tail. It returns the
 // store positioned for appends plus a recovery summary. Typed failures:
-// *MismatchError for a snapshot from a different geometry or format
-// version or a WAL of another format version (either is left as it is),
-// *CorruptError for an unreadable snapshot or a WAL that is not a WAL at
-// all (torn or bit-flipped WAL tails are truncated, not fatal).
+// *MismatchError for a snapshot or a WAL of another format version
+// (either is left as it is), *CorruptError for an unreadable snapshot or
+// a WAL that is not a WAL at all (torn or bit-flipped WAL tails are
+// truncated, not fatal).
 func Open(dir string, opts Options) (*Store, *RecoveryInfo, error) {
 	opts.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: data dir: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, fp: GeometryFingerprint(opts.Shards)}
+	s := &Store{dir: dir, opts: opts}
 
-	st, lastLSN, err := loadSnapshot(s.snapPath(), s.fp, opts.Shards)
+	st, lastLSN, err := loadSnapshot(s.snapPath())
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &RecoveryInfo{SnapshotLoaded: st != nil}
 	if st == nil {
-		st = NewState(opts.Shards)
+		st = NewState()
 	}
 
 	lsn := lastLSN
@@ -191,7 +184,7 @@ func (s *Store) Snapshot() error {
 //
 //rwguard:holds mu
 func (s *Store) snapshotLocked() error {
-	if err := writeSnapshot(s.snapPath(), s.fp, s.lsn, s.st); err != nil {
+	if err := writeSnapshot(s.snapPath(), s.lsn, s.st); err != nil {
 		return err
 	}
 	if err := s.wal.reset(); err != nil {

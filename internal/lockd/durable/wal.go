@@ -43,7 +43,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // name is rejected as corrupt rather than misparsed as frames.
 const (
 	walMagicName = "rwlockd-wal"
-	walVersion   = 4
+	walVersion   = 5
 	walMagic     = walMagicName + string(rune(walVersion)) + "\n"
 )
 

@@ -20,7 +20,12 @@ import (
 // recovery install (the epoch bump) to finish.
 func startDurable(t *testing.T, addr, dir string) *Server {
 	t.Helper()
-	srv, err := New(Config{
+	return startDurableConfig(t, durableConfig(addr, dir))
+}
+
+// durableConfig is the configuration startDurable serves.
+func durableConfig(addr, dir string) Config {
+	return Config{
 		Addr:          addr,
 		DataDir:       dir,
 		Fsync:         "never", // kill -9 safety does not depend on fsync; keep the test fast
@@ -28,7 +33,13 @@ func startDurable(t *testing.T, addr, dir string) *Server {
 		DefaultTTL:    400 * time.Millisecond,
 		MinTTL:        50 * time.Millisecond,
 		SweepInterval: 10 * time.Millisecond,
-	})
+	}
+}
+
+// startDurableConfig is startDurable with a configuration of its own.
+func startDurableConfig(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -367,19 +378,111 @@ func TestQueuedAcquireNotLogged(t *testing.T) {
 	if restored.Epoch != shadow.Epoch+1 {
 		t.Errorf("restored epoch %d, want %d", restored.Epoch, shadow.Epoch+1)
 	}
-	if !reflect.DeepEqual(restored.Sessions, shadow.Sessions) || !reflect.DeepEqual(restored.Shards, shadow.Shards) {
+	if !reflect.DeepEqual(restored.Sessions, shadow.Sessions) || restored.Counters != shadow.Counters {
 		t.Errorf("restart changed the durable state:\n got %+v\nwant %+v", restored, shadow)
 	}
 	after := srv2.Stats()
 	if after.Sessions != before.Sessions {
 		t.Errorf("restored %d sessions, want %d", after.Sessions, before.Sessions)
 	}
-	ledger := func(sh wire.ShardStats) [7]uint64 {
-		return [7]uint64{sh.ReadGrants, sh.WriteGrants, sh.Releases, sh.Revoked, sh.RevokedWrite, sh.Fenced, sh.FencedWrite}
+	if got, want := ledgerTotals(after), ledgerTotals(before); got != want {
+		t.Errorf("ledger totals %+v after the restart, want %+v", got, want)
 	}
-	for i := range before.Shards {
-		if got, want := ledger(after.Shards[i]), ledger(before.Shards[i]); got != want {
-			t.Errorf("shard %d ledger counters %v after the restart, want %v", i, got, want)
+}
+
+// ledgerTotals sums the ledger counters of st across its shards: after a
+// restart shard 0 also carries the totals of earlier epochs, so only the
+// sum is comparable.
+func ledgerTotals(st wire.Stats) durable.Counters {
+	var c durable.Counters
+	for _, sh := range st.Shards {
+		c.ReadGrants += sh.ReadGrants
+		c.WriteGrants += sh.WriteGrants
+		c.Releases += sh.Releases
+		c.Revoked += sh.Revoked
+		c.RevokedWrite += sh.RevokedWrite
+		c.Fenced += sh.Fenced
+		c.FencedWrite += sh.FencedWrite
+	}
+	return c
+}
+
+// TestRestartUnderOtherShardCount: nothing durable depends on the shard
+// a key hashes to, so a data directory written by a 2-shard server (a
+// snapshot and a WAL tail) restarts under 8 shards. The epoch rises by
+// one, the write lock held at the crash is fenced, the ledger totals are
+// the pre-crash ones plus that fencing, and the first new write token
+// dominates every token minted before the crash.
+func TestRestartUnderOtherShardCount(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig("127.0.0.1:0", dir)
+	cfg.Shards, cfg.SnapshotEvery = 2, 8
+	srv := startDurableConfig(t, cfg)
+	cfg.Addr = srv.Addr().String()
+	ctx := context.Background()
+
+	c, err := Dial(ctx, cfg.Addr, Options{TTL: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abandon()
+	var before []uint64
+	for i := 0; i < 6; i++ {
+		h, err := c.Acquire(ctx, fmt.Sprintf("k%d", i), ModeWrite, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Release(ctx); err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, h.Passage)
+	}
+	held, err := c.Acquire(ctx, "held", ModeWrite, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = append(before, held.Passage)
+	epoch, pre := srv.Epoch(), ledgerTotals(srv.Stats())
+	srv.Crash()
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
+		t.Fatalf("no snapshot before the restart: %v", err)
+	}
+
+	cfg.Shards = 8
+	srv2 := startDurableConfig(t, cfg)
+	defer srv2.Close()
+	if got := srv2.Epoch(); got != epoch+1 {
+		t.Fatalf("epoch after the restart %d, want %d", got, epoch+1)
+	}
+	st := srv2.Stats()
+	want := pre
+	want.Revoked++
+	want.RevokedWrite++
+	want.Fenced++
+	want.FencedWrite++
+	if got := ledgerTotals(st); got != want {
+		t.Fatalf("ledger totals after the restart %+v, want %+v", got, want)
+	}
+	if len(st.Shards) != 8 {
+		t.Fatalf("%d shards after the restart, want 8", len(st.Shards))
+	}
+
+	c2, err := Dial(ctx, cfg.Addr, Options{TTL: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	h, err := c2.Acquire(ctx, "held", ModeWrite, time.Second)
+	if err != nil {
+		t.Fatalf("acquire of the fenced key: %v", err)
+	}
+	defer h.Release(ctx) //nolint:errcheck // the server closes at test end
+	if durable.TokenEpoch(h.Passage) != epoch+1 {
+		t.Fatalf("first new write token %#x has epoch %d, want %d", h.Passage, durable.TokenEpoch(h.Passage), epoch+1)
+	}
+	for _, old := range before {
+		if h.Passage <= old {
+			t.Fatalf("first new write token %#x does not dominate pre-crash token %#x", h.Passage, old)
 		}
 	}
 }

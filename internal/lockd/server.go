@@ -29,7 +29,9 @@ type Config struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" for an ephemeral
 	// test port).
 	Addr string
-	// Shards is the number of lock-namespace partitions (default 8).
+	// Shards is the number of lock-namespace partitions (default 8). No
+	// durable state depends on it, so a data directory restarts under any
+	// value.
 	Shards int
 	// DefaultTTL is the session lease granted when hello does not request
 	// one; MinTTL/MaxTTL clamp requested TTLs (defaults 5s, 50ms, 60s).
@@ -143,7 +145,6 @@ func New(cfg Config) (*Server, error) {
 		store, info, err := durable.Open(cfg.DataDir, durable.Options{
 			Fsync:         pol,
 			SnapshotEvery: cfg.SnapshotEvery,
-			Shards:        cfg.Shards,
 		})
 		if err != nil {
 			return nil, err
@@ -164,7 +165,7 @@ func New(cfg Config) (*Server, error) {
 	s.ln = ln
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		s.shards[i] = newShard(s, i)
+		s.shards[i] = newShard(s)
 	}
 	return s, nil
 }
@@ -196,8 +197,10 @@ func (s *Server) logAppend(rec *durable.Record) {
 
 // install finishes durable recovery: it durably bumps the epoch (fencing
 // every replayed hold — the shadow apply clears them and counts them
-// revoked+fenced), installs the post-bump state into the session table and
-// shards, and flips ready. It runs once, from Serve.
+// revoked+fenced), installs the post-bump state into the session table,
+// restores the ledger totals into shard 0 (the durable state keeps one
+// ledger, not one per shard, so a restart under another shard count is
+// safe), and flips ready. It runs once, from Serve.
 func (s *Server) install() {
 	if gate := s.installGate; gate != nil {
 		<-gate
@@ -212,9 +215,7 @@ func (s *Server) install() {
 	}
 	st := s.store.State()
 	s.sessions.restore(st)
-	for i, sh := range s.shards {
-		sh.restore(st.Shards[i]) // Open gives the state at least cfg.Shards shards
-	}
+	s.shards[0].restore(st.Counters)
 	s.epoch.Store(epoch)
 	s.ready.Store(true)
 	close(s.readyCh)

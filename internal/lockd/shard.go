@@ -50,9 +50,10 @@ func (ls *lockState) holders() int {
 
 // shardCounters aggregates a shard's lifetime statistics (under shard.mu).
 // The ledger-relevant subset (grants, releases, revocations, fencing) is
-// restored from durable state on recovery, so it is cumulative over the
-// life of a data directory; sheds, timeouts and the bypass maxima are
-// volatile and reset on restart.
+// cumulative over the life of a data directory: recovery restores the
+// durable totals of earlier epochs into shard 0 (see Server.install), so
+// only the sum across shards is meaningful. Sheds, timeouts and the
+// bypass maxima are volatile and reset on restart.
 type shardCounters struct {
 	readGrants   uint64
 	writeGrants  uint64
@@ -74,7 +75,6 @@ type shardCounters struct {
 // mutex.
 type shard struct {
 	srv *Server
-	idx int
 
 	mu    sync.Mutex
 	locks map[string]*lockState //rwguard:mu
@@ -86,15 +86,14 @@ type shard struct {
 	writes uint64 //rwguard:mu
 }
 
-func newShard(srv *Server, idx int) *shard {
-	return &shard{srv: srv, idx: idx, locks: map[string]*lockState{}}
+func newShard(srv *Server) *shard {
+	return &shard{srv: srv, locks: map[string]*lockState{}}
 }
 
-// restore installs the recovered cumulative ledger counters.
-func (sh *shard) restore(ss *durable.ShardState) {
+// restore installs recovered cumulative ledger counters.
+func (sh *shard) restore(c durable.Counters) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c := ss.Counters
 	sh.stats.readGrants = c.ReadGrants
 	sh.stats.writeGrants = c.WriteGrants
 	sh.stats.releases = c.Releases
@@ -103,9 +102,6 @@ func (sh *shard) restore(ss *durable.ShardState) {
 	sh.stats.fenced = c.Fenced
 	sh.stats.fencedWrite = c.FencedWrite
 }
-
-// logAppend forwards one WAL record to the server's durable store.
-func (sh *shard) logAppend(rec *durable.Record) { sh.srv.logAppend(rec) }
 
 // lockStateLocked returns (creating if needed) the grant table for key.
 //
@@ -153,8 +149,7 @@ func (sh *shard) grantLocked(ls *lockState, sess *session, mode string) uint64 {
 		ls.readers[sess] = struct{}{}
 		sh.stats.readGrants++
 	}
-	sh.logAppend(&durable.Record{Type: durable.RecGrant, Session: sess.id,
-		Key: ls.key, Mode: mode, Shard: sh.idx})
+	sh.srv.logAppend(&durable.Record{Type: durable.RecGrant, Session: sess.id, Key: ls.key, Mode: mode})
 	return durable.MakeToken(sh.srv.epoch.Load(), sh.writes)
 }
 
@@ -331,8 +326,7 @@ func (sh *shard) release(sess *session, key, mode string) error {
 	}
 	sess.removeHold(holdKey{key, mode})
 	sh.stats.releases++
-	sh.logAppend(&durable.Record{Type: durable.RecRelease, Session: sess.id,
-		Key: key, Mode: mode, Shard: sh.idx})
+	sh.srv.logAppend(&durable.Record{Type: durable.RecRelease, Session: sess.id, Key: key, Mode: mode})
 	sh.promoteLocked(ls)
 	sh.reclaimLocked(ls)
 	return nil

@@ -128,7 +128,10 @@ type Stats struct {
 	Shards []ShardStats `json:"shards"`
 }
 
-// ShardStats aggregates one shard's counters and fairness readings.
+// ShardStats aggregates one shard's counters and fairness readings. The
+// ledger counters (grants, releases, revocations, fencing) of a durable
+// server are cumulative over its data directory, and a restart restores
+// the totals of earlier epochs into shard 0 only: sum them across shards.
 type ShardStats struct {
 	Locks  int `json:"locks"`  // live grant tables (held or queued)
 	Held   int `json:"held"`   // holds currently outstanding

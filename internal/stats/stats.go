@@ -1,7 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
-// tables need: summaries of sample sets and least-squares fits used to
-// check asymptotic shapes (e.g. "reader RMRs grow like log2 K" becomes a
-// log-fit slope close to the predicted constant).
+// tables need: summaries of sample sets, a least-squares line fit and a
+// growth ratio used to check asymptotic shapes.
 package stats
 
 import (
@@ -88,19 +87,6 @@ func LinFit(xs, ys []float64) (a, b float64) {
 	b = (n*sxy - sx*sy) / den
 	a = (sy - b*sx) / n
 	return a, b
-}
-
-// LogFit fits y = a + b*log2(x) and returns (a, b): the slope b estimates
-// the constant in a Theta(log n) growth law. All xs must be positive.
-func LogFit(xs, ys []float64) (a, b float64) {
-	lx := make([]float64, len(xs))
-	for i, x := range xs {
-		if x <= 0 {
-			panic("stats: LogFit requires positive x")
-		}
-		lx[i] = math.Log2(x)
-	}
-	return LinFit(lx, ys)
 }
 
 // GrowthRatio returns ys[last]/ys[first] as a crude shape probe (e.g.

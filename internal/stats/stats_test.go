@@ -104,28 +104,6 @@ func TestLinFitMismatchPanics(t *testing.T) {
 	LinFit([]float64{1}, []float64{1, 2})
 }
 
-func TestLogFitExact(t *testing.T) {
-	// y = 1 + 3*log2(x)
-	xs := []float64{2, 4, 8, 16, 1024}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 1 + 3*math.Log2(x)
-	}
-	a, b := LogFit(xs, ys)
-	if !almost(a, 1) || !almost(b, 3) {
-		t.Fatalf("LogFit = (%v, %v), want (1, 3)", a, b)
-	}
-}
-
-func TestLogFitRejectsNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on x <= 0")
-		}
-	}()
-	LogFit([]float64{0, 1}, []float64{1, 2})
-}
-
 func TestGrowthRatio(t *testing.T) {
 	if g := GrowthRatio([]float64{2, 4, 32}); !almost(g, 16) {
 		t.Errorf("GrowthRatio = %v, want 16", g)

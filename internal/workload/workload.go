@@ -5,10 +5,7 @@
 // sweep from read-heavy to write-heavy to expose each algorithm's corners.
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Mix is a target fraction of read passages in the workload.
 type Mix struct {
@@ -51,23 +48,6 @@ func Plan(n, m, total int, mix Mix) (readerPassages, writerPassages int) {
 		writerPassages = max(writes/m, 1)
 	}
 	return readerPassages, writerPassages
-}
-
-// Stream is a deterministic, seeded source of read/write decisions for
-// benchmark goroutines that interleave both roles.
-type Stream struct {
-	rng *rand.Rand
-	mix Mix
-}
-
-// NewStream returns a stream for mix with the given seed.
-func NewStream(mix Mix, seed int64) *Stream {
-	return &Stream{rng: rand.New(rand.NewSource(seed)), mix: mix}
-}
-
-// NextIsRead reports whether the next passage should be a read passage.
-func (s *Stream) NextIsRead() bool {
-	return s.rng.Float64() < s.mix.ReadFraction
 }
 
 // String renders the mix for tables.

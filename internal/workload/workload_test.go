@@ -46,28 +46,6 @@ func TestPlanDegenerate(t *testing.T) {
 	}
 }
 
-func TestStreamDeterministicAndCalibrated(t *testing.T) {
-	for _, mix := range Mixes {
-		a := NewStream(mix, 42)
-		b := NewStream(mix, 42)
-		reads := 0
-		const total = 10000
-		for i := 0; i < total; i++ {
-			av, bv := a.NextIsRead(), b.NextIsRead()
-			if av != bv {
-				t.Fatalf("%s: streams with equal seeds diverged at %d", mix.Name, i)
-			}
-			if av {
-				reads++
-			}
-		}
-		got := float64(reads) / total
-		if math.Abs(got-mix.ReadFraction) > 0.02 {
-			t.Errorf("%s: observed read fraction %.3f, want ~%.2f", mix.Name, got, mix.ReadFraction)
-		}
-	}
-}
-
 func TestMixString(t *testing.T) {
 	s := ReadHeavy.String()
 	if !strings.Contains(s, "read-heavy") || !strings.Contains(s, "99") {
